@@ -1,13 +1,16 @@
-// Package cluster composes scale-out testbeds: N LADDIS-class clients and
-// M NFS server shards on one simulated medium. Each server exports its own
-// filesystem (a distinct FSID); a deterministic shard map places working
-// files on exports and routes every RPC to the server owning its handle.
+// Package cluster assembles every testbed: N LADDIS-class clients and M
+// NFS server shards on one simulated medium or a bridged fabric. The
+// paper's single-server testbed is the one-node case with a static boot
+// (Config.StaticBoot). Each server exports its own filesystem (a distinct
+// FSID); a deterministic shard map places working files on exports and
+// routes every RPC to the server owning its handle.
 //
-// Nodes are built to be crashed: all volatile state (nfsd pool, socket
-// buffer, buffer cache, dup cache) hangs off per-boot objects that a crash
-// discards, while the platters — and, with Presto, the battery-backed
-// NVRAM dirty map — survive and seed the reboot. internal/fault drives the
-// crash/recovery schedule; this package owns the structural transitions.
+// Nodes other than a static boot's are built to be crashed: all volatile
+// state (nfsd pool, socket buffer, buffer cache, dup cache) hangs off
+// per-boot objects that a crash discards, while the platters — and, with
+// Presto, the battery-backed NVRAM dirty map — survive and seed the
+// reboot. internal/fault drives the crash/recovery schedule; this package
+// owns the structural transitions.
 package cluster
 
 import (
@@ -82,6 +85,11 @@ type Config struct {
 	// own, making the per-cell leak audit exact and immune to whatever
 	// concurrently executing cells do to their own ledgers.
 	Acct *block.Accounting
+	// StaticBoot builds the paper's single-server testbed: one node that
+	// never crashes, named "server", with no t=0 image flush and no boot
+	// verifier on its replies (0, like a server that has never rebooted).
+	// It requires Servers <= 1.
+	StaticBoot bool
 	// OnServerUp, when non-nil, fires every time a server instance starts
 	// serving — initial boot, reboot, and adoption takeover — with the
 	// instance and the NVRAM board (nil without Presto) of its boot.
@@ -200,13 +208,17 @@ type Cluster struct {
 
 // New builds the full cluster for cfg. Every node's on-disk image is made
 // mountable immediately (superblock and root inode flushed at t=0), so a
-// crash injector may fire at any time.
+// crash injector may fire at any time — except under StaticBoot, whose
+// lone node is never crashed and keeps the paper testbed's boot.
 func New(cfg Config) *Cluster {
 	if cfg.Clients == 0 {
 		cfg.Clients = 1
 	}
 	if cfg.Servers == 0 {
 		cfg.Servers = 1
+	}
+	if cfg.StaticBoot && cfg.Servers > 1 {
+		panic(fmt.Sprintf("cluster: static boot builds one server, not %d", cfg.Servers))
 	}
 	if cfg.StripeDisks == 0 {
 		cfg.StripeDisks = 1
@@ -235,8 +247,12 @@ func New(cfg Config) *Cluster {
 	}
 
 	for i := 0; i < cfg.Servers; i++ {
+		name := serverName(i)
+		if cfg.StaticBoot {
+			name = "server"
+		}
 		n := &Node{
-			Name:        serverName(i),
+			Name:        name,
 			Index:       i,
 			FSID:        uint32(i + 1),
 			c:           c,
@@ -282,6 +298,10 @@ func New(cfg Config) *Cluster {
 		}
 		n.FS = fs
 		n.startServer(fs, cpu)
+		c.Nodes = append(c.Nodes, n)
+		if cfg.StaticBoot {
+			continue
+		}
 		// Make the fresh image crash-mountable: flush the superblock and
 		// the root inode before any load arrives. The flusher is part of
 		// the node's volatile state — a crash in the first instants must
@@ -303,7 +323,6 @@ func New(cfg Config) *Cluster {
 				p.Sleep(10 * sim.Millisecond)
 			}
 		})
-		c.Nodes = append(c.Nodes, n)
 	}
 	c.Shards = newShardMap(c.Nodes)
 
@@ -398,7 +417,9 @@ func (c *Cluster) newServer(net *netsim.Network, name string, fs *ufs.FS, cpu *s
 		Accelerated:   presto,
 		RecordReplies: cfg.RecordReplies,
 		CPU:           cpu,
-		BootVerifier:  uint64(index+1)<<32 | uint64(boots+1),
+	}
+	if !cfg.StaticBoot {
+		scfg.BootVerifier = uint64(index+1)<<32 | uint64(boots+1)
 	}
 	if cfg.Gathering {
 		if cfg.GatherOverride != nil {
@@ -427,6 +448,11 @@ func (n *Node) startServer(fs *ufs.FS, cpu *sim.Resource) {
 // dirty map survive. In-flight disk transfers die mid-air (their bytes
 // never land) exactly as a power failure would lose them.
 func (n *Node) Crash() {
+	if n.c.cfg.StaticBoot {
+		// Its replies carry no boot verifier, so clients could never
+		// detect the reboot or the dup cache it lost.
+		panic("cluster: a static boot never crashes")
+	}
 	if n.Down {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -36,33 +37,21 @@ func meanBatch(g core.Stats) float64 {
 }
 
 // runWithPolicy executes a 2MB FDDI copy with 7 biods under the given
-// engine policy (nil = standard server).
-func runWithPolicy(label string, policy *core.Config, nfsds int) AblationResult {
-	spec := Table3Spec()
-	spec.FileMB = 2
-	spec.GatherOverride = policy
-	cfg := RigConfig{
-		Net: spec.Net, Gathering: policy != nil, GatherOverride: policy,
-		NumNfsds: nfsds, Biods: 7, CPUScale: 1.8, Seed: 313,
+// engine policy (nil = standard server), on the plain or Presto build,
+// as one cell of a scenario.Copy spec.
+func runWithPolicy(label string, presto bool, policy *core.Config, nfsds int) AblationResult {
+	spec := scenario.Copy("ablation", "", "fddi", presto, 1, 1.8, 2, policy)
+	spec.Topology.Servers.Nfsds = nfsds
+	seed, biods, gathering := int64(313), 7, policy != nil
+	spec.Cells = []scenario.Cell{{Label: label, Seed: &seed, Biods: &biods, Gathering: &gathering}}
+	c := scenario.MustRun(spec).Cells[0]
+	return AblationResult{
+		Label:      label,
+		ClientKBps: c.ClientKBps,
+		CPUPercent: c.CPUPercent,
+		DiskTps:    c.DiskTps,
+		MeanBatch:  meanBatch(c.Gather),
 	}
-	r := NewRig(cfg)
-	var elapsed sim.Duration
-	r.Sim.Spawn("copy", func(p *sim.Proc) {
-		cres, err := r.Clients[0].Create(p, r.Server.RootFH(), "abl.dat", 0644)
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
-		r.MarkInterval()
-		elapsed, _ = r.Clients[0].WriteFile(p, cres.File, 2*1024*1024)
-	})
-	r.Sim.Run(0)
-	res := AblationResult{Label: label}
-	res.ClientKBps = 2 * 1024 / elapsed.Seconds()
-	res.CPUPercent, _, res.DiskTps = r.IntervalStats()
-	if eng := r.Server.Engine(); eng != nil {
-		res.MeanBatch = meanBatch(eng.Stats())
-	}
-	return res
 }
 
 // AblationReplyOrder compares FIFO and LIFO reply delivery (§6.7).
@@ -71,8 +60,8 @@ func AblationReplyOrder() []AblationResult {
 	lifo := fifo
 	lifo.LIFOReplies = true
 	return []AblationResult{
-		runWithPolicy("FIFO replies (paper)", &fifo, 8),
-		runWithPolicy("LIFO replies (abandoned)", &lifo, 8),
+		runWithPolicy("FIFO replies (paper)", false, &fifo, 8),
+		runWithPolicy("LIFO replies (abandoned)", false, &lifo, 8),
 	}
 }
 
@@ -84,7 +73,7 @@ func AblationProcrastination() []AblationResult {
 		if ms == 0 {
 			cfg.MaxProcrastinations = 0
 		}
-		out = append(out, runWithPolicy(fmt.Sprintf("procrastinate %dms", ms), &cfg, 8))
+		out = append(out, runWithPolicy(fmt.Sprintf("procrastinate %dms", ms), false, &cfg, 8))
 	}
 	return out
 }
@@ -97,9 +86,9 @@ func AblationFirstWriteLatency() []AblationResult {
 	siva := paper
 	siva.FirstWriteLatency = true
 	return []AblationResult{
-		runWithPolicy("procrastinate (paper)", &paper, 8),
-		runWithPolicy("first-write latency [SIVA93]", &siva, 8),
-		runWithPolicy("standard server", nil, 8),
+		runWithPolicy("procrastinate (paper)", false, &paper, 8),
+		runWithPolicy("first-write latency [SIVA93]", false, &siva, 8),
+		runWithPolicy("standard server", false, nil, 8),
 	}
 }
 
@@ -109,36 +98,9 @@ func AblationHunter(presto bool) []AblationResult {
 	on := core.DefaultConfig(presto, hw.FDDI().Procrastinate)
 	off := on
 	off.MbufHunter = false
-	spec := Table3Spec()
-	if presto {
-		spec = Table4Spec()
-	}
-	spec.FileMB = 2
-	run := func(label string, pol core.Config) AblationResult {
-		cfg := RigConfig{
-			Net: spec.Net, Presto: presto, Gathering: true, GatherOverride: &pol,
-			NumNfsds: 8, Biods: 7, CPUScale: 1.8, Seed: 313,
-		}
-		r := NewRig(cfg)
-		var elapsed sim.Duration
-		r.Sim.Spawn("copy", func(p *sim.Proc) {
-			cres, err := r.Clients[0].Create(p, r.Server.RootFH(), "abl.dat", 0644)
-			if err != nil {
-				panic("experiments: " + err.Error())
-			}
-			r.MarkInterval()
-			elapsed, _ = r.Clients[0].WriteFile(p, cres.File, 2*1024*1024)
-		})
-		r.Sim.Run(0)
-		res := AblationResult{Label: label}
-		res.ClientKBps = 2 * 1024 / elapsed.Seconds()
-		res.CPUPercent, _, res.DiskTps = r.IntervalStats()
-		res.MeanBatch = meanBatch(r.Server.Engine().Stats())
-		return res
-	}
 	return []AblationResult{
-		run("mbuf hunter on (paper)", on),
-		run("mbuf hunter off", off),
+		runWithPolicy("mbuf hunter on (paper)", presto, &on, 8),
+		runWithPolicy("mbuf hunter off", presto, &off, 8),
 	}
 }
 
@@ -147,8 +109,8 @@ func AblationHunter(presto bool) []AblationResult {
 func AblationOneNfsd() []AblationResult {
 	pol := core.DefaultConfig(false, hw.FDDI().Procrastinate)
 	return []AblationResult{
-		runWithPolicy("8 nfsds", &pol, 8),
-		runWithPolicy("1 nfsd", &pol, 1),
+		runWithPolicy("8 nfsds", false, &pol, 8),
+		runWithPolicy("1 nfsd", false, &pol, 1),
 	}
 }
 

@@ -227,14 +227,14 @@ type CellResult struct {
 	// recorded output byte-identical across worker counts and machines.
 	Wall time.Duration `json:"-"`
 	// Gather is the gathering engine's counters (zero without gathering;
-	// single-server cells only).
+	// static-boot cells — assembly "rig" — only).
 	Gather core.Stats `json:"gather,omitempty"`
 	// ClientResults are the per-client LADDIS points (laddis cells).
 	ClientResults []workload.LADDISResult `json:"client_results,omitempty"`
 	// OpenloadClients are the per-client open-loop accounting summaries
 	// (openload cells only).
 	OpenloadClients []OpenloadClient `json:"openload_clients,omitempty"`
-	// Drops counts datagrams the server endpoint dropped (single-server
+	// Drops counts datagrams the server endpoint dropped (static-boot
 	// cells only).
 	Drops uint64 `json:"drops,omitempty"`
 	// Durability is the crash audit (fault/durability cells only).

@@ -7,14 +7,12 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/netsim"
 	"repro/internal/nfsproto"
 	"repro/internal/nvram"
 	"repro/internal/openload"
-	"repro/internal/rig"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -23,11 +21,11 @@ import (
 )
 
 // Run validates the spec and executes every cell of its sweep, each on a
-// fresh deterministic simulation, returning the uniform result. The
-// engine reproduces the paper's historical runners exactly — the rig
-// assembly for single-server copy/LADDIS/trace cells, the cluster
-// assembly for sharded, faulted or stream cells — so the legacy
-// experiments adapters produce byte-identical metric columns through it.
+// fresh deterministic simulation, returning the uniform result. Every
+// cell runs on one assembly, internal/cluster; the paper's single-server
+// cells (assembly "rig") boot it statically — one never-crashing node
+// named "server" — so they reproduce the historical runners exactly and
+// the legacy experiments adapters keep byte-identical metric columns.
 //
 // Cells execute across the package worker pool (Workers, default
 // GOMAXPROCS); every cell is an independent simulation with its own
@@ -141,33 +139,6 @@ func MustRun(spec Spec) *Result {
 	return res
 }
 
-func runCell(rc *resolved, capture obsCaptureFn) CellResult {
-	if rc.assembly == AssemblyRig {
-		return runRigCell(rc, capture)
-	}
-	return runClusterCell(rc, capture)
-}
-
-func (r *resolved) rigConfig() rig.Config {
-	return rig.Config{
-		Net:            r.net,
-		Segments:       r.segments,
-		ServerSegment:  r.servers.Segment,
-		ClientSegment:  r.groups[0].Segment,
-		Presto:         r.servers.Presto,
-		Gathering:      r.servers.Gathering,
-		GatherOverride: r.servers.GatherOverride,
-		StripeDisks:    r.servers.StripeDisks,
-		NumNfsds:       r.servers.Nfsds,
-		Clients:        r.groups[0].Count,
-		Biods:          r.groups[0].Biods,
-		CPUScale:       r.cpuScale,
-		Seed:           r.seed,
-		RecordReplies:  r.servers.RecordReplies,
-		Inodes:         r.servers.Inodes,
-	}
-}
-
 // offered returns the per-client and aggregate LADDIS request rates.
 func (r *resolved) offered(nclients int) (perClient, total float64) {
 	if r.laddis.OfferedIsPerClient {
@@ -202,130 +173,22 @@ func aggregateLADDIS(cr *CellResult, results []workload.LADDISResult) {
 	cr.ClientResults = results
 }
 
-// runRigCell executes one cell on the single-server rig assembly.
-func runRigCell(rc *resolved, capture obsCaptureFn) CellResult {
-	cfg := rc.rigConfig()
-	// Per-cell buffer ledger: this sim's pools charge their own counters,
-	// so concurrent cells never perturb each other's accounting.
-	cfg.Acct = block.NewAccounting()
-	r := rig.New(cfg)
-	ob := newCellObs(rc, capture)
-	ob.installRig(r)
-	var cr CellResult
-	switch rc.kind {
-	case KindCopy:
-		runRigCopy(rc, r, &cr)
-	case KindLADDIS:
-		runRigLADDIS(rc, r, &cr)
-	case KindTrace:
-		runRigTrace(rc, r, &cr)
-	case KindOpenload:
-		runRigOpenload(rc, r, &cr, ob)
-	}
-	if eng := r.Server.Engine(); eng != nil {
-		cr.Gather = eng.Stats()
-		cr.GatherBatch = summarize(eng.BatchHist(), 1)
-		cr.GatherCommitMs = summarize(eng.CommitHist(), 1e-3)
-	}
-	cr.Drops = r.Server.Endpoint().Drops()
-	for _, cli := range r.Clients {
-		cr.Retransmissions += cli.Retransmissions
-		cr.RebootsSeen += cli.RebootsSeen
-	}
-	collectFabric(&cr, r.Fabric)
-	cr.SimTime = sim.Duration(r.Sim.Now())
-	ob.finish(&cr)
-	return cr
-}
-
-func runRigCopy(rc *resolved, r *rig.Rig, cr *CellResult) {
-	size := rc.copyW.FileMB * 1024 * 1024
-	r.Sim.Spawn("copy", func(p *sim.Proc) {
-		// Create outside the measured interval, as the paper measures the
-		// transfer.
-		cres, err := r.Clients[0].Create(p, r.Server.RootFH(), "copy.dat", 0644)
-		if err != nil {
-			panic("scenario: create failed: " + err.Error())
-		}
-		r.MarkInterval()
-		start := p.Now()
-		if _, err := r.Clients[0].WriteFile(p, cres.File, size); err != nil {
-			panic("scenario: copy failed: " + err.Error())
-		}
-		cr.Elapsed = p.Now().Sub(start)
-	})
-	r.Sim.Run(0)
-
-	cr.ElapsedSec = cr.Elapsed.Seconds()
-	cr.ClientKBps = float64(size) / 1024 / cr.Elapsed.Seconds()
-	cr.CPUPercent, cr.DiskKBps, cr.DiskTps = r.IntervalStats()
-	cr.CPUMaxPercent = cr.CPUPercent
-}
-
-func runRigLADDIS(rc *resolved, r *rig.Rig, cr *CellResult) {
-	perClient, total := rc.offered(len(r.Clients))
-
-	gens := make([]*workload.LADDIS, len(r.Clients))
-	results := make([]workload.LADDISResult, len(r.Clients))
-	finished := 0
-	cond := sim.NewCond(r.Sim)
-	for i, cli := range r.Clients {
-		i, cli := i, cli
-		gens[i] = workload.NewLADDIS(cli, r.Server.RootFH(), workload.LADDISConfig{
-			Files:            rc.laddis.Files,
-			FileBlocks:       rc.laddis.FileBlocks,
-			OfferedOpsPerSec: perClient,
-			Procs:            rc.laddis.Procs,
-			Warmup:           rc.laddis.Warmup,
-			Duration:         rc.laddis.Measure,
-			Seed:             rc.laddis.Seed + int64(i),
-			Histograms:       rc.histograms(),
-		})
-		r.Sim.Spawn(fmt.Sprintf("laddis-driver-%d", i), func(p *sim.Proc) {
-			if err := gens[i].Setup(p); err != nil {
-				panic("scenario: laddis setup: " + err.Error())
-			}
-			// Synchronize measurement start across clients: wait until a
-			// common barrier time well past setup.
-			if wait := laddisBarrier.Sub(p.Now()); wait > 0 {
-				p.Sleep(wait)
-			}
-			if i == 0 {
-				r.MarkInterval()
-			}
-			results[i] = gens[i].Run(p)
-			finished++
-			cond.Broadcast()
-		})
-	}
-	r.Sim.Run(0)
-	if finished != len(r.Clients) {
-		panic("scenario: laddis drivers did not finish")
-	}
-
-	cr.OfferedOpsPerSec = total
-	aggregateLADDIS(cr, results)
-	if rc.histograms() {
-		fillQuantiles(cr, results)
-	}
-	cr.Elapsed = rc.laddis.Measure
-	cr.ElapsedSec = cr.Elapsed.Seconds()
-	cr.CPUPercent, cr.DiskKBps, cr.DiskTps = r.IntervalStats()
-	cr.CPUMaxPercent = cr.CPUPercent
-}
-
-func runRigTrace(rc *resolved, r *rig.Rig, cr *CellResult) {
+// runTrace records the Figure 1 timeline of one client's transfer to
+// the static-boot server: client sends and replies, gather commits and
+// every platter transfer.
+func runTrace(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 	log := &trace.Log{}
-	cli := r.Clients[0]
+	node := c.Nodes[0]
+	cli := c.Clients[0]
 	cli.OnWriteEvent = func(ev string, off uint32, n int) {
 		switch ev {
 		case "send":
-			log.Add(r.Sim.Now(), "client", "8K Write off=%dK ->", off/1024)
+			log.Add(c.Sim.Now(), "client", "8K Write off=%dK ->", off/1024)
 		case "reply":
-			log.Add(r.Sim.Now(), "client", "<- Write Reply off=%dK", off/1024)
+			log.Add(c.Sim.Now(), "client", "<- Write Reply off=%dK", off/1024)
 		}
 	}
-	for i, d := range r.Disks {
+	for i, d := range node.Disks {
 		i, d := i, d
 		// The observe plane may already own the hook; chain it so a traced
 		// run can carry both the Figure 1 timeline and the span trace.
@@ -342,15 +205,15 @@ func runRigTrace(rc *resolved, r *rig.Rig, cr *CellResult) {
 			if blk < 20 { // inode region of this filesystem
 				what = "metadata"
 			}
-			log.Add(r.Sim.Now(), "disk", "%dK %s to disk (%s) [d%d]", n/1024, kind, what, i)
+			log.Add(c.Sim.Now(), "disk", "%dK %s to disk (%s) [d%d]", n/1024, kind, what, i)
 		}
 	}
 
 	// Mark gather commits via the engine's stats transitions: poll cheaply
 	// from a watcher process.
 	bound := sim.Time(rc.trace.Bound)
-	if eng := r.Server.Engine(); eng != nil {
-		r.Sim.Spawn("gather-watch", func(p *sim.Proc) {
+	if eng := node.Server.Engine(); eng != nil {
+		c.Sim.Spawn("gather-watch", func(p *sim.Proc) {
 			last := eng.Stats().Gathers
 			for {
 				p.Sleep(500 * sim.Microsecond)
@@ -369,8 +232,8 @@ func runRigTrace(rc *resolved, r *rig.Rig, cr *CellResult) {
 
 	windowAfter := uint32(rc.trace.WindowAfterKB) * 1024
 	var windowStart sim.Time
-	r.Sim.Spawn("copy", func(p *sim.Proc) {
-		cres, err := r.Clients[0].Create(p, r.Server.RootFH(), "figure1.dat", 0644)
+	c.Sim.Spawn("copy", func(p *sim.Proc) {
+		cres, err := cli.Create(p, c.Roots()[0], "figure1.dat", 0644)
 		if err != nil {
 			panic("scenario: trace create: " + err.Error())
 		}
@@ -386,7 +249,7 @@ func runRigTrace(rc *resolved, r *rig.Rig, cr *CellResult) {
 			panic("scenario: trace copy: " + err.Error())
 		}
 	})
-	r.Sim.Run(bound)
+	c.Sim.Run(bound)
 
 	mode := "Standard Server"
 	if rc.servers.Gathering {
@@ -396,12 +259,13 @@ func runRigTrace(rc *resolved, r *rig.Rig, cr *CellResult) {
 		mode, rc.groups[0].Biods, rc.trace.WindowAfterKB)
 	cr.TraceText = log.Render(title, windowStart, windowStart.Add(rc.trace.Window))
 	cr.TraceLog = log
-	cr.Elapsed = sim.Duration(r.Sim.Now())
+	cr.Elapsed = sim.Duration(c.Sim.Now())
 	cr.ElapsedSec = cr.Elapsed.Seconds()
 }
 
-// runClusterCell executes one cell on the crashable sharded assembly.
-func runClusterCell(rc *resolved, capture obsCaptureFn) CellResult {
+// runCell executes one cell on a fresh cluster: statically booted for
+// the paper's single-server assembly, crashable and sharded otherwise.
+func runCell(rc *resolved, capture obsCaptureFn) CellResult {
 	// Per-cell buffer ledger: every pool in this cell's assembly charges
 	// it, so the leak audit below reads this sim's counters exactly —
 	// immune to other cells, tests or goroutines touching the global
@@ -419,7 +283,7 @@ func runClusterCell(rc *resolved, capture obsCaptureFn) CellResult {
 		}
 	}
 	c := cluster.New(ccfg)
-	ob.installCluster(c)
+	ob.install(c)
 	var cr CellResult
 
 	// Durability journal first, then the fault schedule, then the
@@ -446,13 +310,25 @@ func runClusterCell(rc *resolved, capture obsCaptureFn) CellResult {
 
 	switch rc.kind {
 	case KindStream:
-		runClusterStream(rc, c, &cr)
+		runStream(rc, c, &cr)
 	case KindCopy:
-		runClusterCopy(rc, c, &cr)
+		runCopy(rc, c, &cr)
 	case KindLADDIS:
-		runClusterLADDIS(rc, c, &cr)
+		runLADDIS(rc, c, &cr)
+	case KindTrace:
+		runTrace(rc, c, &cr)
 	case KindOpenload:
-		runClusterOpenload(rc, c, &cr, ob)
+		runOpenload(rc, c, &cr, ob)
+	}
+	if ccfg.StaticBoot {
+		// Static-boot cells also report the lone server's engine counters
+		// and endpoint drops. Crashable cells leave them empty: filling
+		// them there would change their recorded outputs.
+		srv := c.Nodes[0].Server
+		if eng := srv.Engine(); eng != nil {
+			cr.Gather = eng.Stats()
+		}
+		cr.Drops = srv.Endpoint().Drops()
 	}
 
 	// A scheduled recovery that failed (remount error, adoption error)
@@ -657,7 +533,7 @@ func buildKind(ev FaultEvent) fault.Kind {
 	panic("scenario: unvalidated fault kind " + ev.Kind)
 }
 
-func runClusterStream(rc *resolved, c *cluster.Cluster, cr *CellResult) {
+func runStream(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 	roots := c.Roots()
 	size := rc.stream.FileMB << 20
 	done := 0
@@ -715,7 +591,7 @@ func runClusterStream(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 	}
 }
 
-func runClusterCopy(rc *resolved, c *cluster.Cluster, cr *CellResult) {
+func runCopy(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 	roots := c.Roots()
 	size := rc.copyW.FileMB * 1024 * 1024
 	c.Sim.Spawn("copy", func(p *sim.Proc) {
@@ -734,21 +610,12 @@ func runClusterCopy(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 
 	cr.ElapsedSec = cr.Elapsed.Seconds()
 	cr.ClientKBps = float64(size) / 1024 / cr.Elapsed.Seconds()
-	st := c.IntervalStats()
-	cr.CPUPercent = st.CPUMeanPercent
-	cr.CPUMaxPercent = st.CPUMaxPercent
-	cr.DiskKBps = st.DiskKBps
-	cr.DiskTps = st.DiskTps
+	fillInterval(cr, c)
 }
 
-func runRigOpenload(rc *resolved, r *rig.Rig, cr *CellResult, ob *cellObs) {
-	runOpenload(r.Sim, r.Clients, []nfsproto.FH{r.Server.RootFH()}, rc, cr, r.MarkInterval, ob)
-	cr.CPUPercent, cr.DiskKBps, cr.DiskTps = r.IntervalStats()
-	cr.CPUMaxPercent = cr.CPUPercent
-}
-
-func runClusterOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) {
-	runOpenload(c.Sim, c.Clients, c.Roots(), rc, cr, c.MarkInterval, ob)
+// fillInterval copies the server-side rates of the measured interval
+// (since the runner's MarkInterval) into the cell.
+func fillInterval(cr *CellResult, c *cluster.Cluster) {
 	st := c.IntervalStats()
 	cr.CPUPercent = st.CPUMeanPercent
 	cr.CPUMaxPercent = st.CPUMaxPercent
@@ -771,15 +638,16 @@ func splitReplay(tr *trace.OpTrace, n int) []*trace.OpTrace {
 	return out
 }
 
-// runOpenload drives the open-loop generators on either assembly: client
-// 0 builds the shared population, every client sets up its scratch
-// namespace, all synchronize on the common measurement barrier, and the
-// cell aggregates the honest overload accounting — achieved vs offered
-// throughput, shed/expired arrivals, peak backlog — plus full latency
-// quantiles from the merged arrival-to-completion histograms.
-func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, rc *resolved, cr *CellResult, mark func(), ob *cellObs) {
+// runOpenload drives the open-loop generators: client 0 builds the
+// shared population, every client sets up its scratch namespace, all
+// synchronize on the common measurement barrier, and the cell aggregates
+// the honest overload accounting — achieved vs offered throughput,
+// shed/expired arrivals, peak backlog — plus full latency quantiles from
+// the merged arrival-to-completion histograms.
+func runOpenload(rc *resolved, c *cluster.Cluster, cr *CellResult, ob *cellObs) {
+	s := c.Sim
 	w := rc.open
-	nclients := len(clis)
+	nclients := len(c.Clients)
 
 	var tr *trace.OpTrace
 	var reps []*trace.OpTrace
@@ -804,7 +672,7 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, rc *res
 			popFiles = mf + 1
 		}
 	}
-	pop, err := openload.NewPopulation(popFiles, w.FileBlocks, w.Population, w.ZipfS, roots)
+	pop, err := openload.NewPopulation(popFiles, w.FileBlocks, w.Population, w.ZipfS, c.Roots())
 	if err != nil {
 		panic("scenario: openload population: " + err.Error())
 	}
@@ -832,7 +700,7 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, rc *res
 	barrier := sim.Time(0)
 	setupDone := 0
 	startCond := sim.NewCond(s)
-	for i, cli := range clis {
+	for i, cli := range c.Clients {
 		i, cli := i, cli
 		cfg := openload.Config{
 			Arrival:  w.Arrival,
@@ -879,7 +747,7 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, rc *res
 			}
 			p.Sleep(barrier.Sub(p.Now()))
 			if i == 0 {
-				mark()
+				c.MarkInterval()
 			}
 			res, err := gens[i].Run(p)
 			if err != nil {
@@ -953,9 +821,10 @@ func runOpenload(s *sim.Sim, clis []*client.Client, roots []nfsproto.FH, rc *res
 	}
 	cr.Elapsed = elapsed
 	cr.ElapsedSec = elapsed.Seconds()
+	fillInterval(cr, c)
 }
 
-func runClusterLADDIS(rc *resolved, c *cluster.Cluster, cr *CellResult) {
+func runLADDIS(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 	roots := c.Roots()
 	nclients := len(c.Clients)
 	perClient, total := rc.offered(nclients)
@@ -1010,9 +879,5 @@ func runClusterLADDIS(rc *resolved, c *cluster.Cluster, cr *CellResult) {
 	}
 	cr.Elapsed = rc.laddis.Measure
 	cr.ElapsedSec = cr.Elapsed.Seconds()
-	st := c.IntervalStats()
-	cr.CPUPercent = st.CPUMeanPercent
-	cr.CPUMaxPercent = st.CPUMaxPercent
-	cr.DiskKBps = st.DiskKBps
-	cr.DiskTps = st.DiskTps
+	fillInterval(cr, c)
 }

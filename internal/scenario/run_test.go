@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -267,4 +268,21 @@ func TestRenderSelectsMetrics(t *testing.T) {
 	if strings.Contains(out, "avg_latency_ms") {
 		t.Errorf("rendered result leaked an unselected column:\n%s", out)
 	}
+}
+
+// TestLADDISBarrierOverrunPanics: a LADDIS setup that runs past the
+// measurement barrier is a hard error on the static boot too — clients
+// starting staggered would silently skew the interval stats.
+func TestLADDISBarrierOverrunPanics(t *testing.T) {
+	spec := LADDISRig("overrun", "", false, 1, 1, 8, 1, sim.Second, 1)
+	spec.Workload.LADDIS.Files = 64
+	spec.Workload.LADDIS.FileBlocks = 16
+	spec.Workload.LADDIS.OfferedOpsPerSec = 100
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "past the") {
+			t.Fatalf("recovered %v, want the barrier-overrun panic", r)
+		}
+	}()
+	RunWorkers(spec, 1)
 }

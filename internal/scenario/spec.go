@@ -3,9 +3,9 @@
 // shards, media), a workload (file copies, LADDIS mixes, write streams,
 // traced transfers), an optional fault schedule (per-node crash trains)
 // and a metric selection — and one engine, Run, executes any of them on
-// the appropriate testbed assembly (internal/rig for the paper's
-// single-server configurations, internal/cluster for sharded and
-// crashable ones) and returns a uniform Result.
+// an internal/cluster testbed (statically booted for the paper's
+// single-server configurations, crashable for sharded and faulted ones)
+// and returns a uniform Result.
 //
 // Every entry point in internal/experiments (the paper's tables, figures,
 // scale and crash sweeps) is a thin adapter that builds a Spec and
@@ -116,11 +116,14 @@ type Topology struct {
 	Clients []ClientGroup `json:"clients"`
 	// Servers is the server-shard population.
 	Servers Servers `json:"servers"`
-	// Assembly pins the testbed builder: "rig" (single-server, the
-	// paper's original testbed), "cluster" (crashable sharded nodes), or
-	// "" to let the engine choose. The two assemblies boot differently
-	// (the cluster flushes a mountable image at t=0 and names its server
-	// "server1", not "server"), so recorded baselines pin theirs.
+	// Assembly pins how the testbed boots: "rig" (the paper's original
+	// single-server testbed, cluster.Config.StaticBoot), "cluster"
+	// (crashable sharded nodes), or "" to let the engine choose. Both
+	// build an internal/cluster testbed, but the crashable boot flushes a
+	// mountable image at t=0, names its servers "serverN" and puts a boot
+	// verifier on every reply, while the static boot names its one server
+	// "server" and does none of that. The boots give different numbers,
+	// so recorded baselines pin theirs.
 	Assembly string `json:"assembly,omitempty"`
 }
 

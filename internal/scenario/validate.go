@@ -1061,6 +1061,7 @@ func (r *resolved) clusterConfig() cluster.Config {
 		RecordReplies:  r.servers.RecordReplies,
 		Segments:       r.segments,
 		ServerSegment:  r.servers.Segment,
+		StaticBoot:     r.assembly == AssemblyRig,
 	}
 	for _, o := range r.servers.Nodes {
 		cfg.Nodes = append(cfg.Nodes, cluster.NodeConfig{

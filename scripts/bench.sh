@@ -34,7 +34,9 @@ import json, os, re, statistics, subprocess, sys
 raw_path, out_path = sys.argv[1], sys.argv[2]
 runs = {}
 for line in open(raw_path):
-    m = re.match(r'^(Benchmark\S+)(?:-\d+)?\s+\d+\s+(\d+) ns/op(.*)', line)
+    # The -N GOMAXPROCS suffix is not part of the name: strip it so runs on
+    # hosts with different CPU counts compare against the same baseline.
+    m = re.match(r'^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\d+) ns/op(.*)', line)
     if not m:
         continue
     name, ns, rest = m.group(1), int(m.group(2)), m.group(3)
