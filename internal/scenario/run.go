@@ -283,6 +283,10 @@ func runCell(rc *resolved, capture obsCaptureFn) CellResult {
 		}
 	}
 	c := cluster.New(ccfg)
+	// Reclaim the simulation when the cell ends, panicking or not: every
+	// parked process goroutine unwinds and exits, so nothing pins the
+	// finished assembly. The result is fully built before this runs.
+	defer c.Sim.Close()
 	ob.install(c)
 	var cr CellResult
 

@@ -274,15 +274,21 @@ func TestRenderSelectsMetrics(t *testing.T) {
 // measurement barrier is a hard error on the static boot too — clients
 // starting staggered would silently skew the interval stats.
 func TestLADDISBarrierOverrunPanics(t *testing.T) {
-	spec := LADDISRig("overrun", "", false, 1, 1, 8, 1, sim.Second, 1)
-	spec.Workload.LADDIS.Files = 64
-	spec.Workload.LADDIS.FileBlocks = 16
-	spec.Workload.LADDIS.OfferedOpsPerSec = 100
 	defer func() {
 		r := recover()
 		if r == nil || !strings.Contains(fmt.Sprint(r), "past the") {
 			t.Fatalf("recovered %v, want the barrier-overrun panic", r)
 		}
 	}()
-	RunWorkers(spec, 1)
+	RunWorkers(barrierOverrunSpec(), 1)
+}
+
+// barrierOverrunSpec is a one-cell LADDIS rig whose setup overruns the
+// measurement barrier, so its driver process panics.
+func barrierOverrunSpec() Spec {
+	spec := LADDISRig("overrun", "", false, 1, 1, 8, 1, sim.Second, 1)
+	spec.Workload.LADDIS.Files = 64
+	spec.Workload.LADDIS.FileBlocks = 16
+	spec.Workload.LADDIS.OfferedOpsPerSec = 100
+	return spec
 }

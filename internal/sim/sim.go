@@ -10,7 +10,9 @@
 //
 // Processes block with Proc.Sleep, Cond.Wait, Resource.Acquire, or
 // Queue.Get. While a process is blocked it consumes no virtual time beyond
-// what it asked for; real goroutines are parked on channels.
+// what it asked for; real goroutines are parked on channels. Close unwinds
+// whatever is still parked when a simulation is done with, so its
+// goroutines exit and the simulation can be collected.
 //
 // The event loop is a zero-allocation fast path: the pending set is a
 // concrete 4-ary min-heap of pooled event records keyed on (time, seq), so
@@ -124,9 +126,16 @@ type Sim struct {
 	free   []*event // event record free list
 	seq    uint64
 	rng    *rand.Rand
-	nprocs int
 	fired  uint64
 	until  Time // Run bound for the loop, 0 = none
+
+	// procs is the live-process set: every spawned process that has not
+	// finished, each at index Proc.idx. A finishing process swap-removes
+	// itself, so short-lived processes never grow the set.
+	procs []*Proc
+
+	// closed is set by Close; the sim accepts no further work.
+	closed bool
 
 	// mainWake returns the run-loop token to the Run caller when the loop
 	// terminates in some process's goroutine (see loop).
@@ -257,6 +266,7 @@ func (s *Sim) heapPop() *event {
 // the caller may cancel it. d must be non-negative; a zero d schedules the
 // callback after all other work already scheduled for the current instant.
 func (s *Sim) At(d Duration, fn func()) Event {
+	s.checkOpen()
 	e := s.schedule(d, fn, nil, nil)
 	return Event{e: e, gen: e.gen}
 }
@@ -270,6 +280,7 @@ func (s *Sim) At(d Duration, fn func()) Event {
 // natural quiesce: the run ends at exactly the instant it would have ended
 // with no observer scheduled at all.
 func (s *Sim) AtWeak(d Duration, fn func()) Event {
+	s.checkOpen()
 	e := s.schedule(d, fn, nil, nil)
 	e.weak = true
 	return Event{e: e, gen: e.gen}
@@ -295,12 +306,12 @@ func (s *Sim) wakeProc(p *Proc) {
 // Run processes events until the heap is empty or the clock would pass
 // until (until <= 0 means run to completion). It returns the final clock.
 func (s *Sim) Run(until Time) Time {
+	s.checkOpen()
 	s.until = until
 	s.loop(nil)
 	if f := s.fatal; f != nil {
 		// Re-raise a captured process panic here, on the driving
-		// goroutine. The simulation is dead: parked process goroutines
-		// stay parked (their sim is abandoned with them).
+		// goroutine. The simulation is dead; Close reclaims it.
 		panic(fmt.Sprintf("sim: process %q panicked at t=%d: %v\n%s", f.proc, s.now, f.val, f.stack))
 	}
 	if until > 0 && s.now < until {
@@ -409,7 +420,56 @@ func (s *Sim) parkSelf(p *Proc) {
 func (s *Sim) Idle() bool { return len(s.events) == 0 }
 
 // NumProcs reports the number of live (spawned, not yet finished) processes.
-func (s *Sim) NumProcs() int { return s.nprocs }
+func (s *Sim) NumProcs() int { return len(s.procs) }
+
+// checkOpen panics if the sim has been closed.
+func (s *Sim) checkOpen() {
+	if s.closed {
+		panic("sim: use after Close")
+	}
+}
+
+// Close reclaims the simulation. It discards every pending event and
+// kills every live process with Kill's semantics (waiter scrub, unwind
+// through the blocking primitive on dispatch), then runs the loop until
+// no process and no event remains: each parked goroutine unwinds, runs
+// its deferred cleanups exactly once and exits. No callback fires during
+// teardown and any panic a cleanup raises is dropped; a panic captured
+// before Close is kept, so a sim that died that way is reclaimed too.
+//
+// Close is idempotent. Spawn, At and Run on a closed sim panic. Nothing
+// that reads simulation state (Now, counters, resources) is affected.
+func (s *Sim) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	fatal := s.fatal
+	s.fatal, s.until, s.Trace = nil, 0, nil
+	for len(s.procs) > 0 {
+		s.discardEvents()
+		// Every live process takes exactly one fresh wake-up (any it had
+		// pending was just discarded). The whole set is condemned, so a
+		// Kill tree walk would only schedule duplicates.
+		for _, p := range s.procs {
+			p.killed = true
+			s.unpark(p)
+		}
+		s.loop(nil)
+	}
+	s.fatal = fatal
+	s.procs, s.events, s.free, s.freeWaiters = nil, nil, nil, nil
+}
+
+// discardEvents drops every pending event unfired; outstanding handles
+// go inert as their records are recycled.
+func (s *Sim) discardEvents() {
+	for i, e := range s.events {
+		s.events[i] = nil
+		s.recycle(e)
+	}
+	s.events = s.events[:0]
+}
 
 // Proc is a simulation process: a goroutine scheduled cooperatively by the
 // kernel. All blocking methods must be called from the process's own
@@ -428,6 +488,8 @@ type Proc struct {
 	// the crashed host that issued it.
 	parent   *Proc
 	children []*Proc
+	// idx is the process's slot in Sim.procs while it is live.
+	idx int
 }
 
 // Name returns the name the process was spawned with.
@@ -447,14 +509,15 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAfter starts fn as a new process after delay d.
 func (s *Sim) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
-	s.nprocs++
+	s.checkOpen()
+	p := &Proc{sim: s, name: name, resume: make(chan struct{}), idx: len(s.procs)}
+	s.procs = append(s.procs, p)
 	go func() {
 		<-p.resume // wait for first dispatch (token arrives here)
 		runProc(p, fn)
 		p.done = true
 		p.unlinkParent()
-		s.nprocs--
+		s.removeProc(p)
 		// The finished process still holds the run-loop token: keep
 		// processing events until a handoff lets this goroutine exit.
 		s.loop(p)
@@ -473,6 +536,17 @@ func (s *Sim) SpawnChild(parent *Proc, name string, fn func(p *Proc)) *Proc {
 	p.parent = parent
 	parent.children = append(parent.children, p)
 	return p
+}
+
+// removeProc swap-removes a finished process from the live set (kernel
+// context: runs during the process's final handoff).
+func (s *Sim) removeProc(p *Proc) {
+	last := len(s.procs) - 1
+	moved := s.procs[last]
+	s.procs[p.idx] = moved
+	moved.idx = p.idx
+	s.procs[last] = nil
+	s.procs = s.procs[:last]
 }
 
 // unlinkParent removes a finished child from its parent's list (kernel
@@ -507,7 +581,9 @@ func runProc(p *Proc, fn func(p *Proc)) {
 			if _, ok := r.(killSentinel); ok {
 				return
 			}
-			if p.sim.fatal == nil {
+			// A panic during Close's teardown is dropped: the result the
+			// sim produced is already taken, and teardown must not fail.
+			if p.sim.fatal == nil && !p.sim.closed {
 				p.sim.fatal = &fatalPanic{val: r, proc: p.name, stack: debug.Stack()}
 			}
 		}
@@ -540,6 +616,12 @@ func (s *Sim) Kill(p *Proc) {
 	for _, c := range p.children {
 		s.Kill(c)
 	}
+	s.unpark(p)
+}
+
+// unpark delivers a kill: it scrubs p out of any wait list and schedules
+// its dispatch at the current instant, where it unwinds.
+func (s *Sim) unpark(p *Proc) {
 	if w := p.waiting; w != nil {
 		// Scrub the parked process out of its wait list so a future
 		// Signal is not spent on a corpse, cancel any pending timeout,

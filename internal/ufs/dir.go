@@ -19,12 +19,27 @@ type dirent struct {
 	name string
 }
 
-// loadDir returns the directory's parsed contents. The parse is memoized
-// on the inode: readers (Lookup, Readdir) treat the slice as read-only, and
-// mutators work on a clone (see cloneDir) before handing ownership of the
-// new slice back to the cache through storeDir. The memo never changes
-// simulated timing — directory blocks stay in the buffer cache once read,
-// so a reparse would cost no virtual time either.
+// Dirent memo ownership. loadDir memoizes the parse on the inode, and the
+// memo's [0:len) is immutable: readers (Lookup, Readdir, unlink's scan)
+// may hold such a view across yields. Two kinds of mutation follow:
+//
+//   - An insert (makeNode) appends to the slice loadDir returned, in
+//     place when capacity allows. With no yield between loadDir and the
+//     append, that slice is either the current memo or a private parse,
+//     and the new entry lands past the end of every view anyone holds;
+//     storeDir then clears the memo, so a stale slice is never appended
+//     to twice. Capacity grows geometrically, so a run of inserts into one
+//     directory is amortized O(1) in host allocation.
+//   - A removal or rename edits entries inside [0:len), so it works on a
+//     copy (cloneDir) and hands the copy to storeDir.
+//
+// storeDir re-validates the memo with the slice it was given when nothing
+// could interleave. The memo never changes simulated timing — directory
+// blocks stay in the buffer cache once read, so a reparse would cost no
+// virtual time either.
+
+// loadDir returns the directory's parsed contents (see the ownership rule
+// above: callers must not write inside [0:len) of the result).
 func (fs *FS) loadDir(p *sim.Proc, in *inode) ([]dirent, error) {
 	if in.ftype != vfs.TypeDir {
 		return nil, vfs.ErrNotDir
@@ -45,8 +60,8 @@ func (fs *FS) loadDir(p *sim.Proc, in *inode) ([]dirent, error) {
 	return ents, nil
 }
 
-// cloneDir copies a loadDir result so a mutator can edit it without
-// corrupting the memoized slice behind readers.
+// cloneDir copies a loadDir result so a removal or rename can edit
+// entries without corrupting the memoized slice behind readers.
 func cloneDir(ents []dirent) []dirent {
 	out := make([]dirent, len(ents))
 	copy(out, ents)
@@ -55,7 +70,8 @@ func cloneDir(ents []dirent) []dirent {
 
 // parseDir reads and parses the directory's contents from the cache/device.
 func (fs *FS) parseDir(p *sim.Proc, in *inode) ([]dirent, error) {
-	raw := make([]byte, in.size)
+	raw := fs.takeDirBuf(int(in.size))
+	defer fs.putDirBuf(raw)
 	if in.size > 0 {
 		if _, err := fs.readRaw(p, in, 0, raw); err != nil {
 			return nil, err
@@ -83,13 +99,33 @@ func (fs *FS) parseDir(p *sim.Proc, in *inode) ([]dirent, error) {
 	return ents, nil
 }
 
+// takeDirBuf takes the FS's directory encode/parse scratch out of its slot,
+// sized to n bytes. The caller owns it until putDirBuf: the slot is empty
+// meanwhile, so a concurrent user (the holder may yield in readRaw or
+// writeRaw) gets a buffer of its own instead of sharing this one.
+func (fs *FS) takeDirBuf(n int) []byte {
+	b := fs.dirBuf
+	fs.dirBuf = nil
+	if cap(b) < n {
+		b = make([]byte, n, n+n/2)
+	}
+	return b[:n]
+}
+
+// putDirBuf returns a scratch buffer to the slot, keeping the larger one.
+func (fs *FS) putDirBuf(b []byte) {
+	if cap(b) > cap(fs.dirBuf) {
+		fs.dirBuf = b
+	}
+}
+
 // storeDir serializes and writes the directory synchronously (data and
 // metadata both durable on return). It invalidates the memoized parse; the
 // next loadDir rebuilds it from the buffer cache at zero simulated cost.
-// Repopulating the memo here instead would be wrong: storeDir yields during
-// the flush, concurrent mutators of the same directory can interleave, and
-// whichever store finished last would install its own — possibly stale —
-// snapshot.
+// Repopulating the memo unconditionally would be wrong: storeDir yields
+// during the flush, concurrent mutators of the same directory can
+// interleave, and whichever store finished last would install its own —
+// possibly stale — snapshot.
 func (fs *FS) storeDir(p *sim.Proc, in *inode, ents []dirent) error {
 	in.dents, in.dentsOK = nil, false
 	in.storing++
@@ -98,7 +134,7 @@ func (fs *FS) storeDir(p *sim.Proc, in *inode, ents []dirent) error {
 	for _, e := range ents {
 		size += 10 + len(e.name)
 	}
-	raw := make([]byte, size)
+	raw := fs.takeDirBuf(size)
 	binary.BigEndian.PutUint32(raw, uint32(len(ents)))
 	off := 4
 	for _, e := range ents {
@@ -109,10 +145,12 @@ func (fs *FS) storeDir(p *sim.Proc, in *inode, ents []dirent) error {
 		off += len(e.name)
 	}
 	f0 := fs.sim.EventsFired()
-	if err := fs.writeRaw(p, in, 0, raw); err != nil {
+	err := fs.writeRaw(p, in, 0, raw) // copies raw into the buffer cache
+	fs.putDirBuf(raw)
+	if err != nil {
 		return err
 	}
-	in.size = uint32(len(raw))
+	in.size = uint32(size)
 	now := fs.sim.Now()
 	in.mtime, in.ctime = now, now
 	in.dirtyCore, in.dirtyMeta = true, true
@@ -272,9 +310,8 @@ func (fs *FS) makeNode(p *sim.Proc, dir vfs.Ino, name string, mode uint32, ft vf
 	if in == nil {
 		return 0, vfs.ErrNoSpace
 	}
-	grown := make([]dirent, len(ents), len(ents)+1)
-	copy(grown, ents)
-	ents = append(grown, dirent{ino: in.num, name: name})
+	// In place past every reader's view (see the ownership rule above).
+	ents = append(ents, dirent{ino: in.num, name: name})
 	if err := fs.storeDir(p, din, ents); err != nil {
 		return 0, err
 	}

@@ -42,12 +42,13 @@ type inode struct {
 	indBlocks []int64
 
 	// dents memoizes the parsed directory contents (directories only);
-	// dentsOK marks it valid. The cache is rebuilt from the buffer cache
-	// on the next loadDir after any invalidation, so it never changes
-	// simulated I/O: once a directory's blocks are in core they stay
-	// there, and the parse itself costs no virtual time. storing counts
-	// in-flight storeDir calls; parses taken during one are transient and
-	// must not be memoized.
+	// dentsOK marks it valid. Its [0:len) is immutable; an insert may
+	// append past it in place (see the ownership rule in dir.go). The
+	// cache is rebuilt from the buffer cache on the next loadDir after any
+	// invalidation, so it never changes simulated I/O: once a directory's
+	// blocks are in core they stay there, and the parse itself costs no
+	// virtual time. storing counts in-flight storeDir calls; parses taken
+	// during one are transient and must not be memoized.
 	dents   []dirent
 	dentsOK bool
 	storing int

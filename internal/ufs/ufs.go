@@ -56,6 +56,7 @@ type FS struct {
 	pool         *block.Pool    // backs cache buffers (and COW replacements)
 	dirtyScratch []*[]dirtyBlk  // SyncData dirty-list pool
 	runScratch   [][]*block.Buf // device-write run pool (WriteBufs arguments)
+	dirBuf       []byte         // directory encode/parse scratch (takeDirBuf)
 
 	// inodeGates serializes on-disk writes of each inode block (lazily
 	// created, one gate per block). An inode block aggregates many files'

@@ -14,11 +14,17 @@ import (
 // rig builds a formatted filesystem on a fresh RZ26.
 func rig(t *testing.T, seed int64) (*sim.Sim, *FS, *disk.Disk) {
 	t.Helper()
+	return sizedRig(t, seed, 256)
+}
+
+// sizedRig is rig with an inode table of at least ninodes entries.
+func sizedRig(tb testing.TB, seed int64, ninodes int) (*sim.Sim, *FS, *disk.Disk) {
+	tb.Helper()
 	s := sim.New(seed)
 	d := disk.New(s, hw.RZ26(), nil)
-	fs, err := Format(s, d, 1, 256, nil)
+	fs, err := Format(s, d, 1, ninodes, nil)
 	if err != nil {
-		t.Fatalf("Format: %v", err)
+		tb.Fatalf("Format: %v", err)
 	}
 	return s, fs, d
 }
