@@ -9,9 +9,8 @@ import (
 )
 
 // goroutinesBackTo polls until the goroutine count drops to base or the
-// timeout passes, and returns the last count seen. A process goroutine
-// exits right after handing the run-loop token on, so it may still be
-// scheduled briefly after Close returns.
+// timeout passes, and returns the last count seen, in case a goroutine
+// the test started is still winding down when Close returns.
 func goroutinesBackTo(base int) int {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -270,5 +269,57 @@ func TestLiveSetShrinks(t *testing.T) {
 	}
 	if cap(s.procs) > 16 {
 		t.Fatalf("live set capacity %d: finished processes were not reclaimed", cap(s.procs))
+	}
+}
+
+// TestCallbackPanicSurfacesFromRun: a panicking callback is recovered by
+// the Run caller whichever goroutine ran it — the driver's loop, a live
+// process's yield, or the loop after a process finished — and Close then
+// reclaims every goroutine the sim started.
+func TestCallbackPanicSurfacesFromRun(t *testing.T) {
+	boom := func() { panic("boom") }
+	for name, build := range map[string]func(s *Sim){
+		"driver loop": func(s *Sim) {
+			s.At(Millisecond, boom)
+		},
+		"live process yield": func(s *Sim) {
+			s.Spawn("sleeper", func(p *Proc) {
+				s.At(0, boom)
+				p.Sleep(Millisecond) // the sleeper's own loop fires boom
+			})
+		},
+		"after process finished": func(s *Sim) {
+			s.Spawn("short", func(p *Proc) {
+				p.Sleep(Millisecond)
+				s.At(0, boom)
+			})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			s := New(1)
+			c := NewCond(s)
+			cleaned := 0
+			s.Spawn("waiter", func(p *Proc) {
+				defer func() { cleaned++ }()
+				c.Wait(p)
+			})
+			build(s)
+			var raised any
+			func() {
+				defer func() { raised = recover() }()
+				s.Run(0)
+			}()
+			if !strings.Contains(fmt.Sprint(raised), "boom") {
+				t.Fatalf("Run raised %v, want the callback's panic", raised)
+			}
+			s.Close()
+			if cleaned != 1 || s.NumProcs() != 0 {
+				t.Fatalf("waiter cleanup ran %d times, NumProcs = %d after Close", cleaned, s.NumProcs())
+			}
+			if n := goroutinesBackTo(base); n > base {
+				t.Fatalf("%d goroutines after Close, baseline %d", n, base)
+			}
+		})
 	}
 }

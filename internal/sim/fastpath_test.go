@@ -207,7 +207,8 @@ func TestQueueScanRemoveHeadTail(t *testing.T) {
 }
 
 // TestAtRunZeroAlloc: once the free list has warmed up, the At/Run cycle
-// must not allocate.
+// must not allocate, with cancels mixed in (a cancelled record is recycled
+// at once).
 func TestAtRunZeroAlloc(t *testing.T) {
 	s := New(1)
 	// Warm up the event pool and heap capacity.
@@ -217,12 +218,15 @@ func TestAtRunZeroAlloc(t *testing.T) {
 	s.Run(0)
 	n := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 32; i++ {
-			s.At(Duration(i), func() {})
+			e := s.At(Duration(i), func() {})
+			if i%3 == 0 {
+				e.Cancel()
+			}
 		}
 		s.Run(0)
 	})
 	if n > 0 {
-		t.Fatalf("At/Run allocated %.1f objects per run, want 0", n)
+		t.Fatalf("At/Cancel/Run allocated %.1f objects per run, want 0", n)
 	}
 }
 
@@ -306,5 +310,51 @@ func TestDeterminismEventsFired(t *testing.T) {
 	}
 	if f1 == 0 {
 		t.Fatal("model fired no events")
+	}
+}
+
+// TestCancelFreesHeapSlot: Cancel takes a pending event out of the heap at
+// once, whatever its slot, so the pending count drops to zero without a
+// Run and the survivors still fire in (time, seq) order.
+func TestCancelFreesHeapSlot(t *testing.T) {
+	s := New(1)
+	var evs []Event
+	var order []int
+	for i := 0; i < 100; i++ {
+		evs = append(evs, s.At(Duration((i*37)%23), func() { order = append(order, i) }))
+	}
+	for i := 0; i < 100; i += 2 {
+		evs[i].Cancel()
+	}
+	if n := len(s.events); n != 50 || s.ordinary != 50 {
+		t.Fatalf("after 50 cancels: %d records in the heap, %d ordinary, want 50", n, s.ordinary)
+	}
+	for i := 1; i < 100; i += 2 {
+		evs[i].Cancel()
+	}
+	if n := len(s.events); n != 0 || s.ordinary != 0 || !s.Idle() {
+		t.Fatalf("after cancelling all: %d records in the heap, %d ordinary, Idle %v", n, s.ordinary, s.Idle())
+	}
+	if len(s.free) != 100 {
+		t.Fatalf("%d records on the free list, want all 100", len(s.free))
+	}
+
+	// Remove from the middle of a populated heap: the rest keep their order.
+	evs = evs[:0]
+	for i := 0; i < 100; i++ {
+		evs = append(evs, s.At(Duration((i*37)%23), func() { order = append(order, i) }))
+	}
+	for i := 0; i < 100; i += 3 {
+		evs[i].Cancel()
+	}
+	s.Run(0)
+	if len(order) != 66 {
+		t.Fatalf("%d events fired, want 66", len(order))
+	}
+	for k := 1; k < len(order); k++ {
+		a, b := order[k-1], order[k]
+		if ta, tb := (a*37)%23, (b*37)%23; ta > tb || (ta == tb && a > b) {
+			t.Fatalf("fired %d (t=%d) before %d (t=%d)", a, ta, b, tb)
+		}
 	}
 }

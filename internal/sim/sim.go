@@ -3,26 +3,29 @@
 //
 // A Sim owns a virtual clock and an event heap. Model code runs either as
 // plain callbacks scheduled with At, or as processes (Proc) spawned with
-// Spawn. A process is an ordinary goroutine, but the kernel guarantees that
-// at most one process executes at a time and that control transfers are
-// totally ordered by (virtual time, sequence number), so a simulation run is
-// fully deterministic for a given seed.
+// Spawn. A process body runs as a runtime coroutine (iter.Pull) that only
+// the Run caller resumes, so at most one process executes at a time and
+// control transfers are totally ordered by (virtual time, sequence number):
+// a simulation run is fully deterministic for a given seed.
 //
 // Processes block with Proc.Sleep, Cond.Wait, Resource.Acquire, or
 // Queue.Get. While a process is blocked it consumes no virtual time beyond
-// what it asked for; real goroutines are parked on channels. Close unwinds
-// whatever is still parked when a simulation is done with, so its
-// goroutines exit and the simulation can be collected.
+// what it asked for; its coroutine stays suspended until the kernel
+// dispatches it again. Close unwinds whatever is still suspended when a
+// simulation is done with, so its goroutines exit and the simulation can be
+// collected.
 //
 // The event loop is a zero-allocation fast path: the pending set is a
 // concrete 4-ary min-heap of pooled event records keyed on (time, seq), so
 // scheduling involves no interface conversions and, once the free list has
 // warmed up, no heap allocations. Process wake-ups (Sleep, Cond, Resource,
-// Queue) are typed targets on the event record rather than closures.
+// Queue) are typed targets on the event record rather than closures, and a
+// cancelled event leaves the heap at once.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime/debug"
 )
@@ -71,22 +74,24 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
 // event is the kernel's scheduled-occurrence record. Records are pooled:
-// after an event fires or a cancelled event is popped, the record returns
-// to the free list with its generation bumped, which invalidates any
-// outstanding Event handles to the old occurrence.
+// after an event fires or is cancelled, the record returns to the free list
+// with its generation bumped, which invalidates any outstanding Event
+// handles to the old occurrence. A record whose generation still matches a
+// handle is pending, at slot idx of its sim's heap.
 //
 // Exactly one of fn, proc, waiter is set: fn is a plain callback, proc is a
 // process to dispatch (Sleep/Spawn/wake-ups), waiter is a Cond.WaitTimeout
 // deadline.
 type event struct {
-	t         Time
-	seq       uint64
-	fn        func()
-	proc      *Proc
-	waiter    *condWaiter
-	cancelled bool
-	weak      bool
-	gen       uint64
+	t      Time
+	seq    uint64
+	fn     func()
+	proc   *Proc
+	waiter *condWaiter
+	sim    *Sim
+	idx    int
+	weak   bool
+	gen    uint64
 }
 
 func eventLess(a, b *event) bool {
@@ -101,7 +106,8 @@ type Event struct {
 	cancelled bool
 }
 
-// Cancel prevents the event from firing. Cancelling an event that already
+// Cancel prevents the event from firing: a pending event leaves the heap
+// at once and its record is recycled. Cancelling an event that already
 // fired or was already cancelled is a no-op: the handle's generation no
 // longer matches the pooled record, so a recycled record is never touched.
 func (e *Event) Cancel() {
@@ -109,8 +115,9 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.cancelled = true
-	if e.e != nil && e.e.gen == e.gen {
-		e.e.cancelled = true
+	if r := e.e; r != nil && r.gen == e.gen {
+		r.sim.heapRemove(r.idx)
+		r.sim.recycle(r)
 	}
 }
 
@@ -129,6 +136,9 @@ type Sim struct {
 	fired  uint64
 	until  Time // Run bound for the loop, 0 = none
 
+	// ordinary counts the pending non-weak events (see AtWeak).
+	ordinary int
+
 	// procs is the live-process set: every spawned process that has not
 	// finished, each at index Proc.idx. A finishing process swap-removes
 	// itself, so short-lived processes never grow the set.
@@ -137,15 +147,15 @@ type Sim struct {
 	// closed is set by Close; the sim accepts no further work.
 	closed bool
 
-	// mainWake returns the run-loop token to the Run caller when the loop
-	// terminates in some process's goroutine (see loop).
-	mainWake chan struct{}
+	// handoff is the process a yielding process's loop found due: the
+	// yielding process suspends, and the Run caller resumes handoff next
+	// (see drive).
+	handoff *Proc
 
-	// fatal carries a model-code panic from the process goroutine it
-	// unwound to the Run caller, which re-raises it (see runProc). The
-	// transfer makes a panicking simulation abort deterministically on
-	// the driving goroutine — recoverable by harnesses like the scenario
-	// fuzzer — instead of crashing the whole OS process from a worker.
+	// fatal carries a model-code panic from the process it unwound to the
+	// Run caller, which re-raises it (see runProc). The transfer makes a
+	// panicking simulation abort deterministically on the driving
+	// goroutine — recoverable by harnesses like the scenario fuzzer.
 	fatal *fatalPanic
 
 	// Trace, when non-nil, receives a line per control transfer
@@ -156,7 +166,7 @@ type Sim struct {
 	freeWaiters []*condWaiter
 }
 
-// fatalPanic records a panic captured in a process goroutine.
+// fatalPanic records a panic captured in a process.
 type fatalPanic struct {
 	val   any
 	proc  string
@@ -165,10 +175,7 @@ type fatalPanic struct {
 
 // New returns a simulator with its clock at zero and the given RNG seed.
 func New(seed int64) *Sim {
-	return &Sim{
-		mainWake: make(chan struct{}),
-		rng:      rand.New(rand.NewSource(seed)),
-	}
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -187,23 +194,30 @@ func (s *Sim) newEvent() *event {
 		s.free = s.free[:n-1]
 		return e
 	}
-	return &event{}
+	return &event{sim: s}
 }
 
-// recycle returns a popped record to the free list. Bumping the generation
-// first makes any outstanding handle to the old occurrence inert.
+// recycle returns a record that left the heap to the free list. Bumping the
+// generation first makes any outstanding handle to the old occurrence inert.
 func (s *Sim) recycle(e *event) {
 	e.gen++
 	e.fn = nil
 	e.proc = nil
 	e.waiter = nil
-	e.cancelled = false
 	e.weak = false
 	s.free = append(s.free, e)
 }
 
-// schedule enqueues one event record d after the current time.
+// schedule enqueues one ordinary event record d after the current time.
 func (s *Sim) schedule(d Duration, fn func(), p *Proc, w *condWaiter) *event {
+	e := s.record(d, fn, p, w)
+	s.heapPush(e)
+	return e
+}
+
+// record fills a fresh event record d after the current time with the next
+// sequence number; the caller pushes it.
+func (s *Sim) record(d Duration, fn func(), p *Proc, w *condWaiter) *event {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
@@ -212,54 +226,79 @@ func (s *Sim) schedule(d Duration, fn func(), p *Proc, w *condWaiter) *event {
 	e.seq = s.seq
 	e.fn, e.proc, e.waiter = fn, p, w
 	s.seq++
-	s.heapPush(e)
 	return e
 }
 
 // heapPush inserts e into the 4-ary min-heap.
 func (s *Sim) heapPush(e *event) {
-	h := append(s.events, e)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !eventLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+	if !e.weak {
+		s.ordinary++
 	}
-	s.events = h
+	s.events = append(s.events, e)
+	s.siftUp(e, len(s.events)-1)
 }
 
-// heapPop removes and returns the minimum event.
-func (s *Sim) heapPop() *event {
+// heapRemove takes the record at slot i out of the heap. Keys are unique,
+// so removing one entry never reorders the others.
+func (s *Sim) heapRemove(i int) {
 	h := s.events
 	n := len(h) - 1
-	top := h[0]
-	h[0] = h[n]
+	e, last := h[i], h[n]
 	h[n] = nil
-	h = h[:n]
-	s.events = h
-	i := 0
-	for {
-		min := i
-		c := i<<2 + 1
-		end := c + 4
-		if end > n {
-			end = n
+	s.events = h[:n]
+	if !e.weak {
+		s.ordinary--
+	}
+	if i < n {
+		// The last record fills the hole; it may belong above or below it.
+		if i > 0 && eventLess(last, h[(i-1)>>2]) {
+			s.siftUp(last, i)
+		} else {
+			s.siftDown(last, i)
 		}
-		for ; c < end; c++ {
-			if eventLess(h[c], h[min]) {
-				min = c
-			}
-		}
-		if min == i {
+	}
+}
+
+// siftUp settles e from slot i towards the root, moving later parents
+// down into the hole and keeping every idx current.
+func (s *Sim) siftUp(e *event, i int) {
+	h := s.events
+	for i > 0 {
+		parent := (i - 1) >> 2
+		q := h[parent]
+		if !eventLess(e, q) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+		h[i], q.idx = q, i
+		i = parent
 	}
-	return top
+	h[i], e.idx = e, i
+}
+
+// siftDown settles e from slot i towards the leaves, moving the earliest
+// child up into the hole and keeping every idx current.
+func (s *Sim) siftDown(e *event, i int) {
+	h := s.events
+	n := len(h)
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if eventLess(h[j], h[m]) {
+				m = j
+			}
+		}
+		q := h[m]
+		if !eventLess(q, e) {
+			break
+		}
+		h[i], q.idx = q, i
+		i = m
+	}
+	h[i], e.idx = e, i
 }
 
 // At schedules fn to run d after the current time and returns an Event so
@@ -272,29 +311,18 @@ func (s *Sim) At(d Duration, fn func()) Event {
 }
 
 // AtWeak schedules fn like At, but as a weak event: at its scheduled time
-// it fires only if at least one live ordinary (non-weak, non-cancelled)
-// event remains in the heap. Otherwise the record is discarded without
-// advancing the clock — the same no-time-passes treatment a cancelled
-// corpse gets. A self-rescheduling observer (a periodic sampler) uses this
-// so its next tick can never extend the simulation past the workload's
-// natural quiesce: the run ends at exactly the instant it would have ended
-// with no observer scheduled at all.
+// it fires only if at least one ordinary (non-weak) event is still pending.
+// Otherwise the record is discarded without advancing the clock. A
+// self-rescheduling observer (a periodic sampler) uses this so its next
+// tick can never extend the simulation past the workload's natural
+// quiesce: the run ends at exactly the instant it would have ended with no
+// observer scheduled at all.
 func (s *Sim) AtWeak(d Duration, fn func()) Event {
 	s.checkOpen()
-	e := s.schedule(d, fn, nil, nil)
+	e := s.record(d, fn, nil, nil)
 	e.weak = true
+	s.heapPush(e)
 	return Event{e: e, gen: e.gen}
-}
-
-// liveOrdinary reports whether any non-weak, non-cancelled event remains
-// in the heap. O(heap); only evaluated when a weak event is popped.
-func (s *Sim) liveOrdinary() bool {
-	for _, e := range s.events {
-		if !e.cancelled && !e.weak {
-			return true
-		}
-	}
-	return false
 }
 
 // wakeProc schedules a dispatch of p at the current instant without
@@ -305,10 +333,11 @@ func (s *Sim) wakeProc(p *Proc) {
 
 // Run processes events until the heap is empty or the clock would pass
 // until (until <= 0 means run to completion). It returns the final clock.
+// A panic raised by a callback or a process propagates from Run.
 func (s *Sim) Run(until Time) Time {
 	s.checkOpen()
 	s.until = until
-	s.loop(nil)
+	s.drive()
 	if f := s.fatal; f != nil {
 		// Re-raise a captured process panic here, on the driving
 		// goroutine. The simulation is dead; Close reclaims it.
@@ -320,34 +349,41 @@ func (s *Sim) Run(until Time) Time {
 	return s.now
 }
 
-// loop is the event loop, run by whichever goroutine currently holds the
-// run-loop token: the Run caller (self == nil) or a process goroutine that
-// just yielded (self == its Proc). Control transfers are a direct handoff —
-// the yielding goroutine pops events itself and hands the token straight to
-// the next runnable process — so the strictly-serial kernel pays one
-// channel operation per process switch instead of the two of a dedicated
-// kernel goroutine ping-pong, and a process whose own wake-up is the next
-// event (the Sleep fast path) continues with no switch at all.
-//
-// loop returns when self has been re-dispatched (the token stays with its
-// goroutine and model code resumes), or, for the Run caller, when the loop
-// has terminated and the token came home.
-func (s *Sim) loop(self *Proc) {
+// drive runs the event loop on the Run caller's goroutine, the only one
+// that resumes process coroutines. A resumed process runs until it
+// suspends or finishes. A suspending process has already run the loop
+// itself and names the next due process in s.handoff, which is resumed
+// straight away; with no handoff the driver takes the loop back (a process
+// finished, or the loop terminated).
+func (s *Sim) drive() {
+	p := s.loop()
+	for p != nil {
+		p.next()
+		p, s.handoff = s.handoff, nil
+		if p == nil {
+			p = s.loop()
+		}
+	}
+}
+
+// loop is the event loop. It runs on the driver or inside a yielding
+// process: it fires callbacks inline and returns the first process whose
+// dispatch comes due, or nil when the loop terminates (heap empty, until
+// reached, or a process panicked). A yielding process that gets itself
+// back resumes model code with no switch at all (the Sleep fast path);
+// any other process is resumed by the driver.
+func (s *Sim) loop() *Proc {
 	for len(s.events) > 0 && s.fatal == nil {
 		e := s.events[0]
 		if s.until > 0 && e.t > s.until {
 			s.now = s.until
-			break
+			return nil
 		}
-		s.heapPop()
-		if e.cancelled {
-			s.recycle(e)
-			continue
-		}
-		if e.weak && !s.liveOrdinary() {
-			// A weak event with no live ordinary work left behind it:
-			// drop it without advancing the clock, so observers never
-			// stretch a quiesced simulation.
+		s.heapRemove(0)
+		if e.weak && s.ordinary == 0 {
+			// A weak event with no ordinary work left behind it: drop it
+			// without advancing the clock, so observers never stretch a
+			// quiesced simulation.
 			s.recycle(e)
 			continue
 		}
@@ -379,44 +415,13 @@ func (s *Sim) loop(self *Proc) {
 		if s.Trace != nil {
 			s.Trace(fmt.Sprintf("t=%d dispatch %s", s.now, p.name))
 		}
-		if p == self {
-			return // own wake-up: resume model code, zero switches
-		}
-		p.resume <- struct{}{} // hand the token to p
-		s.parkAfterHandoff(self)
-		return
+		return p
 	}
-	// Loop over (heap empty or until reached): if a process goroutine holds
-	// the token, return it to the Run caller and park.
-	if self != nil {
-		s.mainWake <- struct{}{}
-		s.parkSelf(self)
-	}
+	return nil
 }
 
-// parkAfterHandoff parks the goroutine that just handed the token away.
-// The Run caller waits for the token to come home (the loop terminated in
-// some other goroutine); a live process waits to be re-dispatched; a
-// finished process simply returns so its goroutine can exit.
-func (s *Sim) parkAfterHandoff(self *Proc) {
-	if self == nil {
-		<-s.mainWake
-		return
-	}
-	s.parkSelf(self)
-}
-
-// parkSelf parks a process goroutine until it is handed the token again
-// (finished processes never are; their goroutines exit instead). On return
-// the caller resumes model code — loop's caller is always yield.
-func (s *Sim) parkSelf(p *Proc) {
-	if p.done {
-		return
-	}
-	<-p.resume
-}
-
-// Idle reports whether no events remain.
+// Idle reports whether no events are pending. A cancelled event leaves
+// the heap at once, so it never counts.
 func (s *Sim) Idle() bool { return len(s.events) == 0 }
 
 // NumProcs reports the number of live (spawned, not yet finished) processes.
@@ -432,10 +437,11 @@ func (s *Sim) checkOpen() {
 // Close reclaims the simulation. It discards every pending event and
 // kills every live process with Kill's semantics (waiter scrub, unwind
 // through the blocking primitive on dispatch), then runs the loop until
-// no process and no event remains: each parked goroutine unwinds, runs
-// its deferred cleanups exactly once and exits. No callback fires during
-// teardown and any panic a cleanup raises is dropped; a panic captured
-// before Close is kept, so a sim that died that way is reclaimed too.
+// no process and no event remains: each suspended process unwinds, runs
+// its deferred cleanups exactly once and its goroutine exits. No callback
+// fires during teardown and any panic a cleanup raises is dropped; a panic
+// captured before Close is kept, so a sim that died that way is reclaimed
+// too.
 //
 // Close is idempotent. Spawn, At and Run on a closed sim panic. Nothing
 // that reads simulation state (Now, counters, resources) is affected.
@@ -455,7 +461,7 @@ func (s *Sim) Close() {
 			p.killed = true
 			s.unpark(p)
 		}
-		s.loop(nil)
+		s.drive()
 	}
 	s.fatal = fatal
 	s.procs, s.events, s.free, s.freeWaiters = nil, nil, nil, nil
@@ -469,17 +475,21 @@ func (s *Sim) discardEvents() {
 		s.recycle(e)
 	}
 	s.events = s.events[:0]
+	s.ordinary = 0
 }
 
-// Proc is a simulation process: a goroutine scheduled cooperatively by the
-// kernel. All blocking methods must be called from the process's own
-// goroutine.
+// Proc is a simulation process: a coroutine scheduled cooperatively by the
+// kernel. All blocking methods must be called from the process's own body.
 type Proc struct {
-	sim    *Sim
-	name   string
-	resume chan struct{}
-	done   bool
-	killed bool
+	sim  *Sim
+	name string
+	// next resumes the process's coroutine until it suspends or finishes;
+	// only the driver calls it. suspend, called from inside the coroutine,
+	// returns control to the driver.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
+	done    bool
+	killed  bool
 	// waiting is the cond waiter the process is currently parked on, if
 	// any; Kill uses it to scrub the process out of the wait list.
 	waiting *condWaiter
@@ -510,18 +520,17 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAfter starts fn as a new process after delay d.
 func (s *Sim) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
 	s.checkOpen()
-	p := &Proc{sim: s, name: name, resume: make(chan struct{}), idx: len(s.procs)}
+	p := &Proc{sim: s, name: name, idx: len(s.procs)}
 	s.procs = append(s.procs, p)
-	go func() {
-		<-p.resume // wait for first dispatch (token arrives here)
+	// The coroutine runs to completion (Close kills whatever is still
+	// suspended), so its stop function is never needed.
+	p.next, _ = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
 		runProc(p, fn)
 		p.done = true
 		p.unlinkParent()
 		s.removeProc(p)
-		// The finished process still holds the run-loop token: keep
-		// processing events until a handoff lets this goroutine exit.
-		s.loop(p)
-	}()
+	})
 	s.schedule(d, nil, p, nil)
 	return p
 }
@@ -538,8 +547,8 @@ func (s *Sim) SpawnChild(parent *Proc, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// removeProc swap-removes a finished process from the live set (kernel
-// context: runs during the process's final handoff).
+// removeProc swap-removes a finished process from the live set (runs as
+// the process's coroutine ends).
 func (s *Sim) removeProc(p *Proc) {
 	last := len(s.procs) - 1
 	moved := s.procs[last]
@@ -549,8 +558,8 @@ func (s *Sim) removeProc(p *Proc) {
 	s.procs = s.procs[:last]
 }
 
-// unlinkParent removes a finished child from its parent's list (kernel
-// context: runs during the child's final handoff).
+// unlinkParent removes a finished child from its parent's list (runs as
+// the child's coroutine ends).
 func (p *Proc) unlinkParent() {
 	if p.parent == nil {
 		return
@@ -572,9 +581,10 @@ func (p *Proc) unlinkParent() {
 type killSentinel struct{}
 
 // runProc runs a process body, absorbing the kill unwind. Any other
-// panic is captured into s.fatal — the process's deferred cleanups have
-// already run by the time the recover sees it — and the loop shuts down
-// so the Run caller can re-raise it on the driving goroutine.
+// panic — from model code, or from a callback the process's loop fired —
+// is captured into s.fatal once the process's deferred cleanups have run,
+// and the loop shuts down so the Run caller can re-raise it on the
+// driving goroutine.
 func runProc(p *Proc, fn func(p *Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -643,13 +653,18 @@ func (p *Proc) Killed() bool { return p.killed }
 // kill actually took down.
 func (p *Proc) Done() bool { return p.done }
 
-// yield hands the run-loop token back to the event loop, which keeps
-// running on this goroutine until another process (or the Run caller) must
-// take over; the process parks until re-dispatched. A killed process never
-// resumes model code: the kill unwinds its stack here, through whatever
-// blocking primitive parked it.
+// yield blocks the process until its next dispatch. The process runs the
+// event loop itself first: if its own wake-up comes due before any other
+// process's, it resumes with no switch; otherwise it names the due process
+// in s.handoff and suspends to the driver. A killed process never resumes
+// model code: the kill unwinds its stack here, through whatever blocking
+// primitive parked it.
 func (p *Proc) yield() {
-	p.sim.loop(p)
+	s := p.sim
+	if q := s.loop(); q != p {
+		s.handoff = q
+		p.suspend(struct{}{})
+	}
 	if p.killed {
 		panic(killSentinel{})
 	}

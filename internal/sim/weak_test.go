@@ -77,3 +77,22 @@ func TestWeakCancellable(t *testing.T) {
 		t.Fatalf("run ended at %v, want 50ms", end)
 	}
 }
+
+// TestWeakDroppedBesideCancelledCompanion: a weak event whose only
+// remaining companion is an ordinary event cancelled mid-run is dropped
+// without advancing the clock.
+func TestWeakDroppedBesideCancelledCompanion(t *testing.T) {
+	s := New(1)
+	late := s.At(Second, func() { t.Fatal("cancelled event fired") })
+	s.AtWeak(10*Millisecond, func() { t.Fatal("weak event fired with no live ordinary work") })
+	s.At(5*Millisecond, func() { late.Cancel() })
+	if end := s.Run(0); end != Time(5*Millisecond) {
+		t.Fatalf("run ended at %v, want 5ms", end)
+	}
+	if f := s.EventsFired(); f != 1 {
+		t.Fatalf("EventsFired = %d, want 1 (the cancelling callback)", f)
+	}
+	if !s.Idle() {
+		t.Fatal("weak record still pending after the run")
+	}
+}

@@ -57,9 +57,7 @@ type inode struct {
 // encodeInode serializes an inode into a 256-byte slot. A zero ftype slot
 // is a free inode.
 func (in *inode) encode(dst []byte) {
-	for i := range dst[:InodeSize] {
-		dst[i] = 0
-	}
+	clear(dst[:InodeSize])
 	binary.BigEndian.PutUint32(dst[0:], uint32(in.ftype))
 	binary.BigEndian.PutUint32(dst[4:], in.mode)
 	binary.BigEndian.PutUint32(dst[8:], in.nlink)
