@@ -4,26 +4,27 @@
 // Usage:
 //
 //	nfsbench -list                  # print the scenario registry
-//	nfsbench -run table1            # one experiment (legacy renderer)
+//	nfsbench -run table1            # one registry scenario by name
 //	nfsbench -run table1,table3     # several
-//	nfsbench -run all               # tables 1-6, figures 1-3, scale, crash
-//	nfsbench -run partialcrash      # any registered scenario by name
+//	nfsbench -run all               # every registry scenario
 //	nfsbench -dump figure2          # emit a scenario spec as JSON
-//	nfsbench -dump figure2 > f.json; vi f.json
-//	nfsbench -validate f.json       # parse + validate without running
-//	nfsbench -scenario f.json       # run an edited spec
-//	nfsbench -run figure2 -quick    # coarser LADDIS sweep
-//	nfsbench -mb 4                  # smaller copies (faster, same rates)
+//	nfsbench -dump table1 > t.json; vi t.json   # e.g. a smaller file_mb
+//	nfsbench -validate t.json       # parse + validate without running
+//	nfsbench -scenario t.json       # run an edited spec
+//	nfsbench -run figure1 -trace t.json -probes p.csv
 //	nfsbench -fuzz 200 -seed 7      # seed-driven scenario fuzzing; on a
 //	                                # failure prints the shrunk spec and
 //	                                # exits 1
 //	nfsbench -run figure2 -j 8      # sweep cells across 8 workers
 //	nfsbench -j 1 ...               # force the sequential engine
 //
-// -j sets the worker-pool size for sweep cells, registry scenarios and
-// fuzz runs (default GOMAXPROCS). Every output byte is identical at any
-// -j: cells are independent sims gathered in deterministic order, and
-// only the wall-time lines (which report real time) differ.
+// Every named experiment — the paper's tables and figures included — is
+// a registry spec run by the scenario engine and printed by
+// Result.Render. -j sets the worker-pool size for sweep cells, registry
+// scenarios and fuzz runs (default GOMAXPROCS). Every output byte is
+// identical at any -j: cells are independent sims gathered in
+// deterministic order, and only the wall-time lines (which report real
+// time) differ.
 package main
 
 import (
@@ -37,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -49,13 +49,11 @@ import (
 var traceOut, probesOut string
 
 func main() {
-	run := flag.String("run", "", "experiments to run: tableN, figureN, scale, crash, any registered scenario, comma separated, or 'all'")
+	run := flag.String("run", "", "registry scenarios to run (tableN, figureN, scale, crash, ...), comma separated, or 'all'")
 	list := flag.Bool("list", false, "list the scenario registry and exit")
 	dump := flag.String("dump", "", "print the named scenario's spec as JSON and exit")
 	scenarioFile := flag.String("scenario", "", "run a scenario spec from a JSON file")
 	validate := flag.String("validate", "", "parse and validate a scenario spec file without running it")
-	mb := flag.Int("mb", 10, "file copy size in MB (the paper used 10)")
-	quick := flag.Bool("quick", false, "coarser LADDIS sweeps for figures 2-3")
 	fuzz := flag.Int("fuzz", 0, "run N fuzzed scenarios against the durability and leak invariants")
 	seed := flag.Int64("seed", 1, "fuzzing campaign seed (with -fuzz)")
 	jobs := flag.Int("j", 0, "worker-pool size for sweep cells, registry scenarios and fuzz runs (default GOMAXPROCS; 1 forces the sequential engine)")
@@ -86,113 +84,36 @@ func main() {
 		*run = "all"
 	}
 
-	want := map[string]bool{}
+	var names []string
 	if *run == "all" {
-		// Every registry entry: the legacy names render through their
-		// historical formatters below, and the remaining registry
-		// scenarios run through the uniform engine (in parallel at -j>1).
 		for _, e := range scenario.Registry() {
-			want[e.Name] = true
+			names = append(names, e.Name)
 		}
 	} else {
 		for _, n := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(n)] = true
+			names = append(names, strings.TrimSpace(n))
 		}
 	}
-
-	specs := experiments.TableSpecs()
-	var names []string
-	for n := range specs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if !want[n] {
-			continue
-		}
-		spec := specs[n]
-		spec.FileMB = *mb
-		tbl := experiments.RunCopyTable(spec)
-		fmt.Println(tbl.Render())
-		delete(want, n)
-	}
-
-	if want["figure1"] {
-		for _, gather := range []bool{false, true} {
-			out, _ := experiments.RunFigure1(experiments.DefaultFigure1(gather))
-			fmt.Println(out)
-		}
-		delete(want, "figure1")
-	}
-	for _, fig := range []struct {
-		name string
-		spec experiments.FigureSpec
-	}{
-		{"figure2", experiments.Figure2Spec()},
-		{"figure3", experiments.Figure3Spec()},
-	} {
-		if !want[fig.name] {
-			continue
-		}
-		spec := fig.spec
-		if *quick {
-			half := spec.Loads[:0:0]
-			for i, l := range fig.spec.Loads {
-				if i%2 == 0 {
-					half = append(half, l)
-				}
-			}
-			spec.Loads = half
-			spec.Measure = 5 * sim.Second
-		}
-		wo, wi := experiments.RunFigure(spec)
-		fmt.Println(experiments.RenderFigure(spec, wo, wi))
-		delete(want, fig.name)
-	}
-
-	if want["scale"] {
-		spec := experiments.DefaultScaleSpec()
-		if *quick {
-			spec.Measure = 2 * sim.Second
-		}
-		fmt.Println(experiments.RenderScaleSweep(spec, experiments.RunScaleSweep(spec)))
-		delete(want, "scale")
-	}
-	if want["crash"] {
-		for _, presto := range []bool{false, true} {
-			spec := experiments.DefaultCrashSpec(presto)
-			fmt.Println(experiments.RenderCrashRecovery(spec, experiments.RunCrashRecovery(spec)))
-		}
-		delete(want, "crash")
-	}
-
-	// Anything left is a registry scenario (the names above are rendered
-	// by their legacy formatters; everything else gets the uniform one).
-	var rest []string
-	for n := range want {
-		rest = append(rest, n)
-	}
-	sort.Strings(rest)
-	specsToRun := make([]scenario.Spec, len(rest))
-	for i, n := range rest {
+	specs := make([]scenario.Spec, len(names))
+	for i, n := range names {
 		spec, ok := scenario.Lookup(n)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "nfsbench: no experiment or scenario named %q; known names: %s\n",
+			fmt.Fprintf(os.Stderr, "nfsbench: no scenario named %q; known names: %s\n",
 				n, strings.Join(knownNames(), ", "))
 			os.Exit(2)
 		}
-		specsToRun[i] = spec
+		specs[i] = spec
 	}
-	runRegistryScenarios(rest, specsToRun)
+	runRegistryScenarios(names, specs)
 	fmt.Printf("nfsbench: total wall time %.2f s\n", time.Since(wall).Seconds())
 }
 
 // runRegistryScenarios executes the registry scenarios, concurrently when
 // the worker pool allows: each scenario renders into its own buffer and
-// the buffers print in name order, so the transcript is byte-identical
-// to the sequential loop (wall-time lines aside). The -trace/-probes
-// artifact path keeps the sequential loop — its last-scenario-wins file
-// semantics are inherently ordered.
+// the buffers print in the order named (registry order for "all"), so
+// the transcript is byte-identical to the sequential loop (wall-time
+// lines aside). The -trace/-probes artifact path keeps the sequential
+// loop — its last-scenario-wins file semantics are inherently ordered.
 func runRegistryScenarios(names []string, specs []scenario.Spec) {
 	workers := scenario.Workers()
 	if workers > len(specs) {
@@ -231,8 +152,7 @@ func runRegistryScenarios(names []string, specs []scenario.Spec) {
 	}
 }
 
-// knownNames lists every runnable name: the registry carries all of them
-// (the legacy experiment names are registry keys too).
+// knownNames lists every runnable name, sorted.
 func knownNames() []string {
 	var names []string
 	for _, e := range scenario.Registry() {

@@ -1,6 +1,7 @@
 // Command nfstrace prints the paper's Figure 1: the message/disk timeline
 // of a 4-biod sequential writer against a standard server and against a
-// write-gathering server, >100K into the file.
+// write-gathering server, >100K into the file. It runs the scenario
+// registry's figure1 spec, one cell per server build.
 //
 // Usage:
 //
@@ -16,8 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -31,9 +33,7 @@ func main() {
 	flag.Parse()
 
 	if *capture != "" {
-		cfg := experiments.DefaultFigure1(*gatherOnly)
-		cfg.Biods = *biods
-		tr, err := experiments.CaptureFigure1(cfg)
+		tr, err := scenario.CaptureFigure1(*gatherOnly, *biods)
 		if err == nil {
 			err = trace.SaveOps(*capture, tr)
 		}
@@ -46,27 +46,33 @@ func main() {
 		return
 	}
 
-	show := func(gathering bool) {
-		cfg := experiments.DefaultFigure1(gathering)
-		cfg.Biods = *biods
-		out, log := experiments.RunFigure1(cfg)
-		fmt.Println(out)
-		sum := log.Summary(0, 1<<62)
+	spec, _ := scenario.Lookup("figure1")
+	var cells []scenario.Cell
+	for _, c := range spec.Cells {
+		if (*c.Gathering && *standardOnly) || (!*c.Gathering && *gatherOnly) {
+			continue
+		}
+		c.Biods = biods
+		cells = append(cells, c)
+	}
+	spec.Cells = cells
+	res, err := scenario.Run(spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nfstrace:", err)
+		os.Exit(1)
+	}
+	for _, c := range res.Cells {
+		fmt.Println(c.TraceText)
+		sum := c.TraceLog.Summary(0, 1<<62)
 		fmt.Printf("totals: client sends=%d replies=%d disk ops=%d\n\n",
 			sum["client:8K"], sum["client:<-"], countPrefix(sum, "disk:"))
-	}
-	if !*gatherOnly {
-		show(false)
-	}
-	if !*standardOnly {
-		show(true)
 	}
 }
 
 func countPrefix(m map[string]int, prefix string) int {
 	n := 0
 	for k, v := range m {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
+		if strings.HasPrefix(k, prefix) {
 			n += v
 		}
 	}

@@ -1,6 +1,11 @@
 package scenario
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
 
 // Entry is one named scenario in the built-in registry.
 type Entry struct {
@@ -85,6 +90,51 @@ func figure1() Spec {
 		{Label: "wg", Gathering: &wg},
 	}
 	return spec
+}
+
+// CaptureFigure1 runs the Figure 1 transfer for one server build with
+// the given biod count and converts its client-lane write sends into a
+// replayable op capture: each "8K Write off=NK ->" event becomes one
+// record at its recorded instant, relative to the first send. The
+// capture replays through the openload workload, re-offering the exact
+// Figure 1 write timeline — same inter-arrival gaps — against any rig.
+func CaptureFigure1(gathering bool, biods int) (*trace.OpTrace, error) {
+	spec := figure1()
+	spec.Cells = []Cell{{Label: buildTag(gathering), Gathering: &gathering, Biods: &biods}}
+	res, err := Run(spec)
+	if err != nil {
+		return nil, err
+	}
+	name := "figure1-standard"
+	if gathering {
+		name = "figure1-gathering"
+	}
+	tr := &trace.OpTrace{Name: name}
+	var first sim.Time
+	for _, e := range res.Cells[0].TraceLog.Events {
+		if e.Lane != "client" {
+			continue
+		}
+		var offKB int
+		if _, err := fmt.Sscanf(e.Label, "8K Write off=%dK ->", &offKB); err != nil {
+			continue
+		}
+		if len(tr.Ops) == 0 {
+			first = e.T
+		}
+		tr.Ops = append(tr.Ops, trace.OpRecord{
+			At:   e.T.Sub(first),
+			Op:   "write",
+			File: 0,
+			Off:  uint32(offKB) * 1024,
+			N:    8 * 1024,
+		})
+	}
+	if len(tr.Ops) == 0 {
+		return nil, fmt.Errorf("scenario: figure-1 log has no client write sends to capture")
+	}
+	tr.Sort()
+	return tr, nil
 }
 
 func figure2() Spec {

@@ -212,8 +212,8 @@ type Durability struct {
 }
 
 // CellResult is one sweep point's outcome: the uniform metric columns
-// plus workload-specific detail the legacy adapters map back onto their
-// historical result types.
+// plus workload-specific detail (gather counters, per-client LADDIS
+// points, the durability audit, the Figure 1 timeline).
 type CellResult struct {
 	Label string `json:"label"`
 	Seed  int64  `json:"seed"`

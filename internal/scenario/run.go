@@ -25,7 +25,7 @@ import (
 // cell runs on one assembly, internal/cluster; the paper's single-server
 // cells (assembly "rig") boot it statically — one never-crashing node
 // named "server" — so they reproduce the historical runners exactly and
-// the legacy experiments adapters keep byte-identical metric columns.
+// the recorded metric columns stay byte-identical.
 //
 // Cells execute across the package worker pool (Workers, default
 // GOMAXPROCS); every cell is an independent simulation with its own
@@ -130,7 +130,7 @@ func runCellTimed(rc *resolved, capture obsCaptureFn) CellResult {
 	return cr
 }
 
-// MustRun is Run for specs known valid (the registry, the adapters).
+// MustRun is Run for specs known valid (registry specs and edits of them).
 func MustRun(spec Spec) *Result {
 	res, err := Run(spec)
 	if err != nil {

@@ -7,12 +7,12 @@
 // single-server configurations, crashable for sharded and faulted ones)
 // and returns a uniform Result.
 //
-// Every entry point in internal/experiments (the paper's tables, figures,
-// scale and crash sweeps) is a thin adapter that builds a Spec and
-// delegates here; the built-in Registry names those plus scenarios the
-// legacy API could not express (crash-under-load sweeps, flapping
-// storms). New experiment shapes should be new specs, not new Run*
-// functions.
+// The built-in Registry names every experiment: the paper's tables and
+// figures, the scale and crash sweeps, and scenarios only a declarative
+// spec can express (crash-under-load sweeps, flapping storms, bridged
+// and open-loop topologies). Callers look a spec up, edit it where
+// needed and run it; new experiment shapes should be new specs, not new
+// Run* functions.
 package scenario
 
 import (

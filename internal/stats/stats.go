@@ -3,11 +3,7 @@
 // time-weighted utilization trackers, all in virtual time.
 package stats
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Counter is a monotonically increasing event count with an associated byte
 // total, suitable for deriving ops/sec and KB/sec over an interval.
@@ -158,105 +154,3 @@ func (l *Latency) Max() sim.Duration { return l.max }
 
 // Hist exposes the underlying histogram for merging into roll-ups.
 func (l *Latency) Hist() *Histogram { return &l.hist }
-
-// Table is a simple fixed-column text table matching the paper's layout:
-// one row label column followed by one column per parameter value.
-type Table struct {
-	Title   string
-	Columns []string // e.g. biod counts
-	rows    []tableRow
-}
-
-type tableRow struct {
-	label string
-	cells []string
-}
-
-// AddRow appends a labelled row of pre-formatted cells.
-func (t *Table) AddRow(label string, cells ...string) {
-	t.rows = append(t.rows, tableRow{label: label, cells: cells})
-}
-
-// AddFloatRow appends a row of numbers formatted with the given precision.
-func (t *Table) AddFloatRow(label string, prec int, vals ...float64) {
-	cells := make([]string, len(vals))
-	for i, v := range vals {
-		cells[i] = fmt.Sprintf("%.*f", prec, v)
-	}
-	t.AddRow(label, cells...)
-}
-
-// String renders the table with aligned columns.
-func (t *Table) String() string {
-	labelW := 0
-	for _, r := range t.rows {
-		if len(r.label) > labelW {
-			labelW = len(r.label)
-		}
-	}
-	colW := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		colW[i] = len(c)
-	}
-	for _, r := range t.rows {
-		for i, c := range r.cells {
-			if i < len(colW) && len(c) > colW[i] {
-				colW[i] = len(c)
-			}
-		}
-	}
-	out := t.Title + "\n"
-	out += fmt.Sprintf("%-*s", labelW, "")
-	for i, c := range t.Columns {
-		out += fmt.Sprintf("  %*s", colW[i], c)
-	}
-	out += "\n"
-	for _, r := range t.rows {
-		out += fmt.Sprintf("%-*s", labelW, r.label)
-		for i, c := range r.cells {
-			w := 0
-			if i < len(colW) {
-				w = colW[i]
-			}
-			out += fmt.Sprintf("  %*s", w, c)
-		}
-		out += "\n"
-	}
-	return out
-}
-
-// Point is one sample on a throughput/latency curve (Figures 2 and 3).
-type Point struct {
-	X float64 // achieved throughput, ops/sec
-	Y float64 // average response time, msec
-}
-
-// Series is a named curve.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{X: x, Y: y}) }
-
-// Capacity reports the highest throughput achieved with average latency at
-// or below capMs, the SPEC-style capacity reading of the curve.
-func (s *Series) Capacity(capMs float64) float64 {
-	best := 0.0
-	for _, p := range s.Points {
-		if p.Y <= capMs && p.X > best {
-			best = p.X
-		}
-	}
-	return best
-}
-
-// String renders the series as "x y" rows.
-func (s *Series) String() string {
-	out := "# " + s.Name + "\n# ops/sec  avg-latency-ms\n"
-	for _, p := range s.Points {
-		out += fmt.Sprintf("%8.1f  %6.2f\n", p.X, p.Y)
-	}
-	return out
-}

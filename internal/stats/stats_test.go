@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -141,41 +140,5 @@ func TestQuickPercentileWithinRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	tab := &Table{Title: "Demo", Columns: []string{"0", "15"}}
-	tab.AddRow("label only")
-	tab.AddFloatRow("speed", 0, 165.4, 674.2)
-	out := tab.String()
-	if !strings.Contains(out, "Demo") || !strings.Contains(out, "165") || !strings.Contains(out, "674") {
-		t.Fatalf("render:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 { // title, header, 2 rows
-		t.Fatalf("line count %d:\n%s", len(lines), out)
-	}
-}
-
-func TestSeriesCapacity(t *testing.T) {
-	var s Series
-	s.Add(100, 10)
-	s.Add(200, 30)
-	s.Add(300, 80) // over the cap
-	if got := s.Capacity(50); got != 200 {
-		t.Fatalf("Capacity = %v, want 200", got)
-	}
-	if got := s.Capacity(5); got != 0 {
-		t.Fatalf("Capacity below all = %v", got)
-	}
-}
-
-func TestSeriesString(t *testing.T) {
-	s := Series{Name: "curve"}
-	s.Add(123.4, 5.6)
-	out := s.String()
-	if !strings.Contains(out, "curve") || !strings.Contains(out, "123.4") {
-		t.Fatalf("render: %s", out)
 	}
 }
