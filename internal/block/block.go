@@ -11,9 +11,25 @@
 //     take its own reference with Ref and pair it with Release.
 //   - A layer that mutates a buffer must hold the only reference
 //     (Unique()); shared buffers are copy-on-write — replace them via a
-//     fresh Get plus Copy.
+//     fresh Get plus CopyOut.
 //   - Release of the last reference returns the buffer to its origin pool
 //     and bumps its generation, which invalidates outstanding Handles.
+//
+// Lazy pattern buffers: every workload writes the audit pattern
+// (FillPattern), a pure function of the absolute file offset. GetPattern
+// returns a whole, Size-aligned pattern block that holds only that offset
+// and no Size-byte array, so a write can travel from the client to the
+// platters without any layer allocating or filling its payload. Bytes
+// exist only where a reader asks for them:
+//
+//   - CopyOut generates the requested range straight into the reader's
+//     slice (device reads, ufs reads, platter peeks); the buffer stays
+//     lazy. Generating bytes on read is not a counted copy.
+//   - Data materializes the buffer in place: it takes an array and fills
+//     it, after which the buffer is an ordinary eager one. Every mutator
+//     goes through Data (or Overwrite, for a whole-block rewrite that needs
+//     no fill), so copy-on-write and the ufs own/ownFresh rules hold
+//     unchanged.
 //
 // Accounting (live buffers, total references, payload copies) is kept per
 // Accounting handle: each simulation instance owns one, so concurrently
@@ -112,10 +128,13 @@ func CountCopy(n int) int {
 }
 
 // Buf is one refcounted payload buffer. The zero value is not usable;
-// buffers come from a Pool.
+// buffers come from a Pool. A buffer whose data is nil is lazy: its
+// contents are the audit pattern of the Size-aligned block at file offset
+// off (see GetPattern).
 type Buf struct {
 	pool *Pool
-	data []byte
+	data []byte // nil while lazy
+	off  uint32 // lazy: file offset of the pattern block
 	refs int32
 	gen  uint32
 }
@@ -123,11 +142,14 @@ type Buf struct {
 // Pool is a free list of buffers. Buffers return to the pool they were
 // allocated from regardless of which layer releases the last reference, so
 // layers may each own a pool and still exchange buffers freely. Every
-// pool charges exactly one Accounting, fixed at creation.
+// pool charges exactly one Accounting, fixed at creation. Payload arrays
+// recycle separately from buffer records: a record reused for a lazy
+// buffer parks its array for the next eager Get or materialization.
 type Pool struct {
-	acct *Accounting
-	free []*Buf
-	gets uint64
+	acct   *Accounting
+	free   []*Buf
+	arrays [][]byte
+	gets   uint64
 }
 
 // NewPool returns an empty pool charging the process-global ledger.
@@ -139,11 +161,9 @@ func (a *Accounting) NewPool() *Pool { return &Pool{acct: a} }
 // Acct returns the ledger this pool charges.
 func (p *Pool) Acct() *Accounting { return p.acct }
 
-// Get returns a buffer with one reference. Contents are unspecified (the
-// recycled bytes of an earlier tenant); callers that overwrite the whole
-// buffer — device reads, full-block copies, pattern fills — use it
-// directly, others want GetZero.
-func (p *Pool) Get() *Buf {
+// take checks a buffer record out with one reference; its data is
+// whatever the record last held (possibly nil).
+func (p *Pool) take() *Buf {
 	p.acct.live.Add(1)
 	p.acct.totalRefs.Add(1)
 	p.gets++
@@ -154,7 +174,30 @@ func (p *Pool) Get() *Buf {
 		b.refs = 1
 		return b
 	}
-	return &Buf{pool: p, data: make([]byte, Size), refs: 1}
+	return &Buf{pool: p, refs: 1}
+}
+
+// array returns a Size-byte payload array, recycled when one is parked.
+func (p *Pool) array() []byte {
+	if n := len(p.arrays); n > 0 {
+		a := p.arrays[n-1]
+		p.arrays[n-1] = nil
+		p.arrays = p.arrays[:n-1]
+		return a
+	}
+	return make([]byte, Size)
+}
+
+// Get returns a buffer with one reference. Contents are unspecified (the
+// recycled bytes of an earlier tenant); callers that overwrite the whole
+// buffer — device reads, full-block copies, pattern fills — use it
+// directly, others want GetZero.
+func (p *Pool) Get() *Buf {
+	b := p.take()
+	if b.data == nil {
+		b.data = p.array()
+	}
+	return b
 }
 
 // GetZero is Get with the buffer cleared, for partially-filled fresh
@@ -165,14 +208,90 @@ func (p *Pool) GetZero() *Buf {
 	return b
 }
 
+// GetPattern returns a lazy buffer with one reference whose contents are
+// the audit pattern of the whole block at file offset off, which must be
+// Size-aligned. It holds no payload array until Data materializes it.
+func (p *Pool) GetPattern(off uint32) *Buf {
+	if off%Size != 0 {
+		panic(fmt.Sprintf("block: pattern buffer at unaligned offset %d", off))
+	}
+	b := p.take()
+	if b.data != nil {
+		p.arrays = append(p.arrays, b.data)
+		b.data = nil
+	}
+	b.off = off
+	return b
+}
+
 // Gets reports how many buffers have been taken from this pool.
 func (p *Pool) Gets() uint64 { return p.gets }
 
 // FreeLen reports how many buffers are parked in the free list.
 func (p *Pool) FreeLen() int { return len(p.free) }
 
-// Data returns the buffer's full Size-byte payload slice.
-func (b *Buf) Data() []byte { return b.data }
+// Data returns the buffer's full Size-byte payload slice. A lazy buffer
+// is materialized in place first (an array is taken and the pattern
+// generated into it), so every holder sees the same bytes afterwards.
+func (b *Buf) Data() []byte {
+	if b.data == nil {
+		b.data = b.pool.array()
+		FillPattern(b.data, b.off)
+	}
+	return b.data
+}
+
+// Overwrite returns the payload slice for a caller that holds the only
+// reference and is about to replace every byte. A lazy buffer takes an
+// array without generating the pattern the caller would overwrite.
+func (b *Buf) Overwrite() []byte {
+	if b.data == nil {
+		b.data = b.pool.array()
+	}
+	return b.data
+}
+
+// CopyOut copies the payload bytes starting at from into dst and returns
+// the number copied, like copy. A lazy buffer generates the range straight
+// into dst and stays lazy; reading is not a counted copy.
+func (b *Buf) CopyOut(dst []byte, from int) int {
+	if b.data != nil {
+		return copy(dst, b.data[from:])
+	}
+	n := min(len(dst), Size-from)
+	FillPattern(dst[:n], b.off+uint32(from))
+	return n
+}
+
+// Lazy reports whether the buffer still holds its pattern offset only.
+func (b *Buf) Lazy() bool { return b.data == nil }
+
+// FillPattern writes the deterministic audit pattern for absolute file
+// offset off into buf. Every workload writes it (lazily, through
+// GetPattern, for whole aligned blocks) and the durability journal
+// regenerates it to check recovered contents.
+//
+// The byte at absolute offset x is byte(x*2654435761 + x>>13). Within one
+// Size-aligned window the x>>13 term is constant and the x*K term only
+// depends on x mod 256, so a range inside one window repeats every 256
+// bytes: the fast path fills one period and doubles it with copy.
+func FillPattern(buf []byte, off uint32) {
+	if int(off%Size)+len(buf) > Size {
+		for i := range buf {
+			x := off + uint32(i)
+			buf[i] = byte(x*2654435761 + x>>13)
+		}
+		return
+	}
+	head := min(len(buf), 256)
+	for i := 0; i < head; i++ {
+		x := off + uint32(i)
+		buf[i] = byte(x*2654435761 + x>>13)
+	}
+	for i := head; i < len(buf); i *= 2 {
+		copy(buf[i:], buf[:i])
+	}
+}
 
 // Refs reports the current reference count (diagnostics and tests).
 func (b *Buf) Refs() int32 { return b.refs }

@@ -86,9 +86,9 @@ type Client struct {
 	Calls           uint64
 	// Timeouts counts calls that exhausted every retransmission attempt
 	// and returned ErrTimeout — the storm signature of sustained overload.
-	Timeouts uint64
-	WriteCounter    stats.Counter
-	WriteLatency    stats.Latency
+	Timeouts     uint64
+	WriteCounter stats.Counter
+	WriteLatency stats.Latency
 	// RebootsSeen counts server boot-verifier changes observed in replies.
 	RebootsSeen uint64
 	// Down is true between Crash and Reboot; Boots counts completed boot
@@ -149,10 +149,20 @@ type argsEncoder interface {
 	EncodeTo(e *xdr.Encoder)
 }
 
-// GetWriteBuf takes a staging buffer from the client's pool; the caller
-// fills it and hands it to WriteSyncBuf/writeBehind, then releases its
-// reference when the write has completed.
-func (c *Client) GetWriteBuf() *block.Buf { return c.pool.Get() }
+// PatternBuf returns a staging buffer holding n bytes of the audit
+// pattern for file offset off, with one reference the caller hands to
+// WriteSyncBuf/writeBehind and releases once the write has completed. A
+// whole, block-aligned request gets a lazy buffer (block.GetPattern): no
+// layer on the write path ever allocates or fills its payload. Any other
+// shape is filled eagerly.
+func (c *Client) PatternBuf(off uint32, n int) *block.Buf {
+	if n == block.Size && off%block.Size == 0 {
+		return c.pool.GetPattern(off)
+	}
+	b := c.pool.Get()
+	block.FillPattern(b.Data()[:n], off)
+	return b
+}
 
 type writeJob struct {
 	fh  nfsproto.FH
@@ -798,40 +808,12 @@ func ShardIndex(key string, n int) int {
 	return int(h % uint32(n))
 }
 
-// FillPattern writes the deterministic audit pattern for file offset off
-// into buf; crash tests regenerate it to check recovered contents.
-//
-// The byte at absolute offset x is byte(x*2654435761 + x>>13). Within an
-// 8K-aligned window the x>>13 term is constant and the x*K term only
-// depends on x mod 256, so the pattern repeats every 256 bytes; the fast
-// path fills one period and doubles it with copy.
-func FillPattern(buf []byte, off uint32) {
-	head := len(buf)
-	if off&8191 == 0 && head <= 8192 {
-		if head > 256 {
-			head = 256
-		}
-		for i := 0; i < head; i++ {
-			x := off + uint32(i)
-			buf[i] = byte(x*2654435761 + x>>13)
-		}
-		for i := head; i < len(buf); i *= 2 {
-			copy(buf[i:], buf[:i])
-		}
-		return
-	}
-	for i := range buf {
-		x := off + uint32(i)
-		buf[i] = byte(x*2654435761 + x>>13)
-	}
-}
-
 // WriteFile writes size bytes of audit pattern to fh sequentially in 8K
 // requests, modelling the application + kernel cost per request, then
 // closes. It returns the elapsed time from first byte to close completion.
 func (c *Client) WriteFile(p *sim.Proc, fh nfsproto.FH, size int) (sim.Duration, error) {
 	start := p.Now()
-	// A host crash can kill this process while a staging buffer is filled
+	// A host crash can kill this process while a staging buffer is taken
 	// but not yet handed to the write path (the WriteGenerate sleep); the
 	// deferred release keeps the pool's accounting exact across the kill.
 	var staged *block.Buf
@@ -846,9 +828,8 @@ func (c *Client) WriteFile(p *sim.Proc, fh nfsproto.FH, size int) (sim.Duration,
 		if n > remaining {
 			n = remaining
 		}
-		buf := c.GetWriteBuf()
+		buf := c.PatternBuf(off, n)
 		staged = buf
-		FillPattern(buf.Data()[:n], off)
 		p.Sleep(c.params.WriteGenerate)
 		staged = nil // ownership passes to the write path, which releases
 		if err := c.writeBehindBuf(p, fh, off, buf, n); err != nil {

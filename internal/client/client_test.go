@@ -2,7 +2,6 @@ package client
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/hw"
 	"repro/internal/netsim"
@@ -204,51 +203,6 @@ func TestWriteFileElapsedAndPattern(t *testing.T) {
 	}
 	if c.WriteLatency.N() != 8 {
 		t.Fatalf("latency samples = %d", c.WriteLatency.N())
-	}
-}
-
-func TestFillPatternDeterministicAndOffsetSensitive(t *testing.T) {
-	a := make([]byte, 256)
-	b := make([]byte, 256)
-	FillPattern(a, 8192)
-	FillPattern(b, 8192)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("pattern not deterministic")
-		}
-	}
-	FillPattern(b, 16384)
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("pattern not offset sensitive")
-	}
-}
-
-func TestQuickFillPatternConsistency(t *testing.T) {
-	// The pattern at offset o computed in one buffer must equal the same
-	// bytes computed in a shifted buffer: crash audits depend on it.
-	f := func(off uint32, span uint8) bool {
-		off %= 1 << 20
-		n := int(span%64) + 1
-		whole := make([]byte, 128)
-		FillPattern(whole, off)
-		part := make([]byte, n)
-		FillPattern(part, off)
-		for i := 0; i < n; i++ {
-			if whole[i] != part[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

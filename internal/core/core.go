@@ -276,10 +276,11 @@ func (e *Engine) takeHandle() {
 func (e *Engine) putHandle() { e.inUse-- }
 
 // HandleWrite runs the §6.8 algorithm for one WRITE request on behalf of
-// nfsd. data is the write payload. It returns with the reply either
-// pending (another nfsd will send it) or already sent (this nfsd became
-// the metadata writer); either way the caller's nfsd is free to take new
-// work. A filesystem error is returned immediately and the descriptor's
+// nfsd. data is the write payload unless d.Body carries it by reference
+// (d.Length is the payload length either way). It returns with the reply
+// either pending (another nfsd will send it) or already sent (this nfsd
+// became the metadata writer); either way the caller's nfsd is free to
+// take new work. A filesystem error is returned immediately and the descriptor's
 // Send is called with ok=false.
 func (e *Engine) HandleWrite(p *sim.Proc, nfsd int, d *WriteDesc, data []byte) error {
 	e.stats.Writes++
@@ -298,7 +299,7 @@ func (e *Engine) HandleWrite(p *sim.Proc, nfsd int, d *WriteDesc, data []byte) e
 	e.locks.Lock(p, d.Ino)
 	var err error
 	if d.Body != nil && e.bw != nil {
-		err = e.bw.WriteBuf(p, d.Ino, d.Offset, d.Body, len(data), flags)
+		err = e.bw.WriteBuf(p, d.Ino, d.Offset, d.Body, int(d.Length), flags)
 	} else {
 		err = e.fs.Write(p, d.Ino, d.Offset, data, flags)
 	}

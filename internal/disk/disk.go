@@ -117,6 +117,11 @@ func New(s *sim.Sim, p hw.DiskParams, acct *block.Accounting) *Disk {
 // (leak-check accounting).
 func (d *Disk) StoredBufs() int { return len(d.data) }
 
+// Stored returns the buffer the platter store holds for blk, nil if the
+// block was never written. It is an inspection hook: the caller must
+// neither mutate nor release the buffer.
+func (d *Disk) Stored(blk int64) *block.Buf { return d.data[blk] }
+
 // BlockSize implements Device.
 func (d *Disk) BlockSize() int { return d.p.BlockSize }
 
@@ -213,7 +218,7 @@ func (d *Disk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 				dst[j] = 0
 			}
 		} else {
-			copy(dst, src.Data())
+			src.CopyOut(dst, 0)
 		}
 	}
 	d.pos = blk + nb
@@ -307,7 +312,9 @@ func (d *Disk) WriteBufs(p *sim.Proc, blk int64, bufs []*block.Buf) error {
 }
 
 // storeBytes copies raw bytes into platter-owned buffers (the []byte write
-// and injection path; the buffer-cache path shares buffers instead).
+// and injection path; the buffer-cache path shares buffers instead). A
+// unique stored buffer is overwritten in place; a lazy one takes an array
+// without generating the pattern the copy replaces.
 func (d *Disk) storeBytes(blk int64, data []byte) {
 	nb := int64(len(data) / d.p.BlockSize)
 	for i := int64(0); i < nb; i++ {
@@ -322,7 +329,7 @@ func (d *Disk) storeBytes(blk int64, data []byte) {
 			b = d.pool.Get()
 			d.data[blk+i] = b
 		}
-		d.pool.Acct().CountCopy(copy(b.Data(), data[i*int64(d.p.BlockSize):(i+1)*int64(d.p.BlockSize)]))
+		d.pool.Acct().CountCopy(copy(b.Overwrite(), data[i*int64(d.p.BlockSize):(i+1)*int64(d.p.BlockSize)]))
 	}
 }
 
@@ -332,13 +339,24 @@ func (d *Disk) storeBytes(blk int64, data []byte) {
 func (d *Disk) PeekBlock(blk int64) []byte {
 	out := make([]byte, d.p.BlockSize)
 	if b := d.data[blk]; b != nil {
-		copy(out, b.Data())
+		b.CopyOut(out, 0)
 	}
 	return out
 }
 
 // InjectBlock stores contents directly (test setup helper).
 func (d *Disk) InjectBlock(blk int64, data []byte) { d.storeBytes(blk, data) }
+
+// InjectBuf stores b as the contents of blk by reference, with no
+// simulated time: the NVRAM recovery replay hands its dirty buffers over
+// this way instead of copying (or materializing) them. The platter takes
+// its own reference; the caller keeps and releases its own.
+func (d *Disk) InjectBuf(blk int64, b *block.Buf) {
+	if old := d.data[blk]; old != nil {
+		old.Release()
+	}
+	d.data[blk] = b.Ref()
+}
 
 // Stripe interleaves blocks across several member disks RAID-0 style.
 // A transfer spanning multiple members proceeds on them in parallel,
@@ -554,15 +572,11 @@ func (st *Stripe) rw(p *sim.Proc, blk int64, buf []byte, write bool) error {
 	return ioErr
 }
 
-// InjectBlock stores contents directly on the owning members (crash
-// recovery replay and test setup; no simulated time).
-func (st *Stripe) InjectBlock(blk int64, data []byte) {
-	bs := int64(st.BlockSize())
-	nb := int64(len(data)) / bs
-	for i := int64(0); i < nb; i++ {
-		m, phys := st.mapBlock(blk + i)
-		st.members[m].InjectBlock(phys, data[i*bs:(i+1)*bs])
-	}
+// InjectBuf stores b by reference on the member owning blk (the crash
+// recovery replay; no simulated time). See Disk.InjectBuf.
+func (st *Stripe) InjectBuf(blk int64, b *block.Buf) {
+	m, phys := st.mapBlock(blk)
+	st.members[m].InjectBuf(phys, b)
 }
 
 // MemberTrans sums member-level transactions; the paper's per-disk

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/block"
 	"repro/internal/hw"
 	"repro/internal/sim"
 )
@@ -193,6 +194,43 @@ func TestPeekAndInject(t *testing.T) {
 	}
 	if d.Stats().Trans() != 0 {
 		t.Fatal("peek/inject counted as transactions")
+	}
+}
+
+// TestLazyPlatterBlock: a lazy pattern buffer stored by reference reads
+// back (device read and peek) as the pattern without being materialized,
+// and a later byte write over the now-unique slot replaces its contents
+// in place.
+func TestLazyPlatterBlock(t *testing.T) {
+	s := sim.New(1)
+	acct := block.NewAccounting()
+	d := New(s, hw.RZ26(), acct)
+	b := acct.NewPool().GetPattern(7 * block.Size)
+	d.InjectBuf(9, b)
+	b.Release() // the platter's reference is now the only one
+	want := make([]byte, block.Size)
+	block.FillPattern(want, 7*block.Size)
+	got := make([]byte, block.Size)
+	s.Spawn("r", func(p *sim.Proc) {
+		if err := d.ReadBlocks(p, 9, got); err != nil {
+			t.Errorf("ReadBlocks: %v", err)
+		}
+	})
+	s.Run(0)
+	if !bytes.Equal(got, want) || !bytes.Equal(d.PeekBlock(9), want) {
+		t.Fatal("lazy platter block does not read back as its pattern")
+	}
+	if !d.Stored(9).Lazy() {
+		t.Fatal("reading the block materialized it")
+	}
+	raw := make([]byte, block.Size)
+	raw[5] = 0xEE
+	d.InjectBlock(9, raw)
+	if d.Stored(9) != b || !bytes.Equal(d.PeekBlock(9), raw) {
+		t.Fatal("byte write did not overwrite the unique stored buffer in place")
+	}
+	if acct.TotalRefs() != 1 {
+		t.Fatalf("TotalRefs = %d, want 1 (the platter slot)", acct.TotalRefs())
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/client"
+	"repro/internal/block"
 	"repro/internal/cluster"
 	"repro/internal/hw"
 	"repro/internal/netsim"
@@ -162,7 +162,7 @@ func TestDupCacheAcrossReboot(t *testing.T) {
 	root := c.Roots()[0]
 
 	data := make([]byte, 8192)
-	client.FillPattern(data, 0)
+	block.FillPattern(data, 0)
 
 	ok := false
 	c.Sim.Spawn("script", func(p *sim.Proc) {

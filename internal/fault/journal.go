@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 
+	"repro/internal/block"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/nfsproto"
@@ -35,10 +36,15 @@ type BufferedWrite struct {
 }
 
 // Journal records every client-acked write during a run. All workloads in
-// this repo write the deterministic audit pattern (client.FillPattern), so
+// this repo write the deterministic audit pattern (block.FillPattern), so
 // the journal needs offsets only — expected bytes are regenerated at
 // verification time. Overlapping acked writes agree by construction (the
-// pattern is a pure function of the absolute file offset).
+// pattern is a pure function of the absolute file offset). Verify reads
+// the recovered bytes through the filesystem and compares them with an
+// independently generated copy: a lazy pattern buffer on the platters
+// yields the bytes of the offset it was written for, so one stored in the
+// wrong block reads back as corruption, never as a descriptor compared
+// with itself.
 type Journal struct {
 	Entries []AckedWrite
 	// Buffered records write-behind acceptances (see BufferedWrite).
@@ -164,7 +170,7 @@ func (j *Journal) Verify(p *sim.Proc, c *cluster.Cluster) CheckResult {
 			}
 			continue
 		}
-		client.FillPattern(want[:e.Len], e.Off)
+		block.FillPattern(want[:e.Len], e.Off)
 		lost := 0
 		for i := 0; i < e.Len; i++ {
 			if got[i] != want[i] {

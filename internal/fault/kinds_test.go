@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/block"
-	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/hw"
 	"repro/internal/nfsproto"
@@ -360,7 +359,7 @@ func TestKillAllBiodsDrainsQueuedJobs(t *testing.T) {
 			return
 		}
 		data := make([]byte, 8192)
-		client.FillPattern(data, 0)
+		block.FillPattern(data, 0)
 		if err := cli.WriteBehind(p, cres.File, 0, data); err != nil {
 			t.Errorf("write-behind: %v", err)
 			return
@@ -444,8 +443,8 @@ func TestKillSignaledIdleBiodReissuesWake(t *testing.T) {
 			return
 		}
 		d1, d2 := make([]byte, 8192), make([]byte, 8192)
-		client.FillPattern(d1, 0)
-		client.FillPattern(d2, 8192)
+		block.FillPattern(d1, 0)
+		block.FillPattern(d2, 8192)
 		// First write: the pool's first daemon serves it and re-parks at
 		// the TAIL of the wait list, leaving the last-spawned daemon at
 		// the head — exactly the one a FIFO Signal picks and the one

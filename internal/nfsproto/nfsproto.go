@@ -703,10 +703,12 @@ func AppendWriteArgsHead(e *xdr.Encoder, fh FH, off uint32, n int) {
 	e.Uint32(uint32(n)) // opaque data length
 }
 
-// DecodeWriteArgsSplitInto parses a split WRITE's argument head from b and
-// attaches body as the data, verifying the length word agrees. Data
-// aliases body.
-func DecodeWriteArgsSplitInto(b []byte, body []byte, a *WriteArgs) error {
+// DecodeWriteArgsSplitInto parses a split WRITE's argument head from b,
+// verifying that its length word equals bodyLen, the length of the
+// payload riding as a separate body segment. Data is left nil: the payload
+// stays in the body buffer, which the caller passes on by reference
+// without reading it.
+func DecodeWriteArgsSplitInto(b []byte, bodyLen int, a *WriteArgs) error {
 	d := xdr.NewDecoder(b)
 	if err := decodeFH(d, &a.File); err != nil {
 		return err
@@ -725,10 +727,10 @@ func DecodeWriteArgsSplitInto(b []byte, body []byte, a *WriteArgs) error {
 	if err != nil {
 		return err
 	}
-	if int(n) != len(body) {
-		return fmt.Errorf("nfsproto: split WRITE length %d, body %d", n, len(body))
+	if int(n) != bodyLen {
+		return fmt.Errorf("nfsproto: split WRITE length %d, body %d", n, bodyLen)
 	}
-	a.Data = body
+	a.Data = nil
 	return nil
 }
 

@@ -225,7 +225,7 @@ func (pr *Presto) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	if allCached {
 		p.Sleep(pr.p.AcceptLatency)
 		for i := int64(0); i < nb; i++ {
-			copy(buf[i*bs:(i+1)*bs], pr.dirty[blk+i].buf.Data())
+			pr.dirty[blk+i].buf.CopyOut(buf[i*bs:(i+1)*bs], 0)
 		}
 		pr.stats.Reads++
 		pr.stats.ReadBytes += uint64(len(buf))
@@ -238,7 +238,7 @@ func (pr *Presto) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	// Overlay any blocks that are newer in NVRAM.
 	for i := int64(0); i < nb; i++ {
 		if b := pr.dirty[blk+i]; b != nil {
-			copy(buf[i*bs:(i+1)*bs], b.buf.Data())
+			b.buf.CopyOut(buf[i*bs:(i+1)*bs], 0)
 		}
 	}
 	pr.stats.Reads++
@@ -425,11 +425,11 @@ func (pr *Presto) Stop() {
 	pr.work.Broadcast()
 }
 
-// BlockInjector accepts raw block contents outside simulated time; both
-// disk.Disk and disk.Stripe implement it. It is the target of the
-// battery-backed NVRAM recovery flush.
+// BlockInjector accepts block contents by reference outside simulated
+// time; both disk.Disk and disk.Stripe implement it. It is the target of
+// the battery-backed NVRAM recovery flush.
 type BlockInjector interface {
-	InjectBlock(blk int64, data []byte)
+	InjectBuf(blk int64, b *block.Buf)
 }
 
 // RecoverTo writes every dirty NVRAM block straight to the platters with
@@ -438,14 +438,16 @@ type BlockInjector interface {
 func (pr *Presto) RecoverTo(d *disk.Disk) int { return pr.Recover(d) }
 
 // Recover flushes every dirty block into inj (a disk or stripe set) with
-// no simulated time, the reboot-time recovery replay. Blocks are distinct,
-// so replay order does not affect the recovered image. The board is
-// consumed: the dirty map's buffer references are released, since the
-// replaced board object is discarded after recovery.
+// no simulated time, the reboot-time recovery replay. Each buffer is
+// handed over by reference — no copy, and a lazy pattern block stays
+// lazy. Blocks are distinct, so replay order does not affect the recovered
+// image. The board is consumed: the dirty map's buffer references are
+// released (the platters hold their own), since the replaced board object
+// is discarded after recovery.
 func (pr *Presto) Recover(inj BlockInjector) int {
 	n := 0
 	for blk, b := range pr.dirty {
-		inj.InjectBlock(blk, b.buf.Data())
+		inj.InjectBuf(blk, b.buf)
 		b.buf.Release()
 		delete(pr.dirty, blk)
 		n++

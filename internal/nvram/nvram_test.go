@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/disk"
 	"repro/internal/hw"
 	"repro/internal/sim"
@@ -197,6 +198,57 @@ func TestRecoverToFlushesDirtyBlocks(t *testing.T) {
 	}
 	if got := d.PeekBlock(77); got[100] != 0xCC {
 		t.Fatal("recovery did not restore NVRAM contents to disk")
+	}
+}
+
+// TestRecoverHandsLazyBuffersByReference: the reboot replay moves each
+// dirty buffer onto the platters by reference. Lazy pattern blocks stay
+// lazy through the accept, an NVRAM read and the replay (no payload is
+// ever generated into NVRAM or platter memory), and afterwards every
+// outstanding reference is a platter slot.
+func TestRecoverHandsLazyBuffersByReference(t *testing.T) {
+	s := sim.New(1)
+	acct := block.NewAccounting()
+	d := disk.New(s, hw.RZ26(), acct)
+	pr := New(s, hw.Prestoserve(), d, acct)
+	pool := acct.NewPool()
+	bufs := []*block.Buf{pool.GetPattern(0), pool.GetPattern(block.Size), pool.GetPattern(2 * block.Size)}
+	got := make([]byte, len(bufs)*block.Size)
+	s.Spawn("w", func(p *sim.Proc) {
+		for i := range bufs { // one block per accept: the board's MaxIO
+			if err := pr.WriteBufs(p, 300+int64(i), bufs[i:i+1]); err != nil {
+				t.Errorf("WriteBufs %d: %v", i, err)
+			}
+		}
+		if err := pr.ReadBlocks(p, 300, got); err != nil {
+			t.Errorf("ReadBlocks: %v", err)
+		}
+	})
+	s.Run(sim.Time(sim.Millisecond)) // the accepts and the read, before any drain
+	want := make([]byte, len(got))
+	block.FillPattern(want, 0)
+	if !bytes.Equal(got, want) {
+		t.Fatal("NVRAM read of lazy blocks differs from the pattern")
+	}
+	if d.Stored(300) != nil {
+		t.Fatal("a block drained before the simulated crash")
+	}
+	if n := pr.Recover(d); n != len(bufs) {
+		t.Fatalf("recovered %d blocks, want %d", n, len(bufs))
+	}
+	for i, b := range bufs {
+		if d.Stored(300+int64(i)) != b || !b.Lazy() {
+			t.Fatalf("block %d: platter holds %p (lazy=%v), want the NVRAM buffer %p by reference",
+				i, d.Stored(300+int64(i)), b.Lazy(), b)
+		}
+		b.Release() // the writer's own reference
+	}
+	if !bytes.Equal(d.PeekBlock(301), want[block.Size:2*block.Size]) {
+		t.Fatal("replayed platter block differs from the pattern")
+	}
+	if acct.TotalRefs() != int64(d.StoredBufs()) || pr.DirtyBufs() != 0 {
+		t.Fatalf("after recovery: %d refs outstanding, %d platter slots, %d dirty",
+			acct.TotalRefs(), d.StoredBufs(), pr.DirtyBufs())
 	}
 }
 

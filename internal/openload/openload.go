@@ -200,8 +200,7 @@ func (p *Population) Build(q *sim.Proc, cli *client.Client) error {
 		}
 		fh := cres.File // copy: cres is client scratch, dead at the next RPC
 		for b := 0; b < p.Blocks; b++ {
-			buf := cli.GetWriteBuf()
-			client.FillPattern(buf.Data(), uint32(b*nfsproto.MaxData))
+			buf := cli.PatternBuf(uint32(b*nfsproto.MaxData), nfsproto.MaxData)
 			if err := cli.WriteSyncBufRelease(q, fh, uint32(b*nfsproto.MaxData), buf, nfsproto.MaxData); err != nil {
 				return fmt.Errorf("openload: fill %s: %w", name, err)
 			}
@@ -498,8 +497,7 @@ func (g *Gen) exec(q *sim.Proc, t task) {
 	case workload.OpRead:
 		_, err = g.cli.Read(q, fh, t.off, nfsproto.MaxData)
 	case workload.OpWrite:
-		buf := g.cli.GetWriteBuf()
-		client.FillPattern(buf.Data(), t.off)
+		buf := g.cli.PatternBuf(t.off, nfsproto.MaxData)
 		err = g.cli.WriteSyncBufRelease(q, fh, t.off, buf, nfsproto.MaxData)
 	case workload.OpGetattr:
 		_, err = g.cli.Getattr(q, fh)

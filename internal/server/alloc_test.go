@@ -1,10 +1,11 @@
 package server
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/block"
-	"repro/internal/client"
 	"repro/internal/nfsproto"
 	"repro/internal/sim"
 )
@@ -34,9 +35,8 @@ func TestWriteBurstAllocAndCopyGuard(t *testing.T) {
 		for {
 			trigger.Get(p)
 			for i := 0; i < burst; i++ {
-				buf := r.cli.GetWriteBuf()
 				off := uint32(i) * nfsproto.MaxData
-				client.FillPattern(buf.Data(), off)
+				buf := r.cli.PatternBuf(off, nfsproto.MaxData)
 				if err := r.cli.WriteSyncBufRelease(p, fh, off, buf, nfsproto.MaxData); err != nil {
 					t.Errorf("write %d: %v", i, err)
 					return
@@ -78,6 +78,78 @@ func TestWriteBurstAllocAndCopyGuard(t *testing.T) {
 			"the pooled write path has regressed", perOp, allocs)
 	}
 	t.Logf("write burst: %.1f allocs/op, %d payload bytes copied", perOp, copied)
+}
+
+// TestFreshFileWriteAllocGuard covers what the steady-state guard above
+// cannot see: first writes of new files, the copy workload's shape, where
+// every block lands on a fresh platter slot and the pool has nothing to
+// recycle. Files are streamed through the client's write-behind, server
+// dispatch, gathering, the ufs cache and NVRAM to the platters. A payload
+// that is never read must never be allocated, filled or copied: the bytes
+// allocated per 8K WRITE stay far below 8K.
+//
+// Unlike steady-state overwrites, a growing file rewrites its inode and
+// indirect block on every gathered commit, and each rewrite of a block the
+// platters (or NVRAM) share pays one copy-on-write copy in ufs own. Those
+// metadata copies are legitimate, so the copy check allows at most one
+// block per metadata write plus the directory entries the CREATEs add;
+// one payload copy per WRITE would exceed it many times over.
+func TestFreshFileWriteAllocGuard(t *testing.T) {
+	r := newRig(t, 13, rigOpts{gathering: true, presto: true, biods: 4, fddi: true})
+	root := r.srv.RootFH()
+
+	const fileBlocks = 64
+	trigger := sim.NewQueue[int](r.sim, 0)
+	files := 0
+	r.sim.Spawn("app", func(p *sim.Proc) {
+		for {
+			trigger.Get(p)
+			name := fmt.Sprintf("copy-%d.dat", files)
+			cres, err := r.cli.Create(p, root, name, 0644)
+			if err != nil || cres.Status != nfsproto.OK {
+				t.Errorf("create %s: %v %v", name, err, cres)
+				return
+			}
+			if _, err := r.cli.WriteFile(p, cres.File, fileBlocks*nfsproto.MaxData); err != nil {
+				t.Errorf("write %s: %v", name, err)
+				return
+			}
+			files++
+		}
+	})
+	oneFile := func() {
+		trigger.Put(0)
+		r.sim.Run(0) // the whole file, its commit and the NVRAM drain
+	}
+	for i := 0; i < 4; i++ {
+		oneFile()
+	}
+
+	const measured = 16
+	copies0, meta0 := block.Copies(), r.fs.MetaWrites
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < measured; i++ {
+		oneFile()
+	}
+	runtime.ReadMemStats(&m1)
+	if files != 4+measured {
+		t.Fatalf("%d files written, want %d", files, 4+measured)
+	}
+	copied := block.Copies() - copies0
+	metaCopies := int64(block.Size)*int64(r.fs.MetaWrites-meta0) + 512*measured
+	if copied > metaCopies {
+		t.Fatalf("fresh-file writes copied %d bytes, more than the %d metadata "+
+			"copy-on-write and directory entries account for: payload is being copied",
+			copied, metaCopies)
+	}
+	perWrite := float64(m1.TotalAlloc-m0.TotalAlloc) / (measured * fileBlocks)
+	t.Logf("fresh-file write: %.0f bytes allocated per 8K WRITE; %d bytes copied (metadata bound %d)",
+		perWrite, copied, metaCopies)
+	if perWrite > 2048 {
+		t.Fatalf("fresh-file 8K WRITE allocates %.0f bytes; the payload is being "+
+			"allocated or filled on the write path", perWrite)
+	}
 }
 
 // TestWriteBurstNoBufLeak sweeps a write burst and then checks the global

@@ -61,11 +61,13 @@ type parsedCall struct {
 	write    *nfsproto.WriteArgs // non-nil for WRITE calls
 	writeBuf nfsproto.WriteArgs
 	// body is the datagram's refcounted payload segment for a split WRITE
-	// (writeBuf.Data aliases it). It is a borrow of the datagram's
+	// (writeBuf.Data is then nil). It is a borrow of the datagram's
 	// reference, valid only while the datagram is live; the filesystem
 	// takes its own reference if it adopts the buffer.
 	body *block.Buf
-	bad  bool
+	// n is the WRITE payload length, whichever form carries it.
+	n   int
+	bad bool
 }
 
 // getPC takes a parse record from the pool.
@@ -101,10 +103,11 @@ func (s *Server) peek(dg *netsim.Datagram) *parsedCall {
 		if pc.proc == nfsproto.ProcWrite {
 			var err error
 			if dg.Body != nil {
-				err = nfsproto.DecodeWriteArgsSplitInto(pc.call.Args, dg.Body.Data()[:dg.BodyLen], &pc.writeBuf)
-				pc.body = dg.Body
+				err = nfsproto.DecodeWriteArgsSplitInto(pc.call.Args, dg.BodyLen, &pc.writeBuf)
+				pc.body, pc.n = dg.Body, dg.BodyLen
 			} else {
 				err = nfsproto.DecodeWriteArgsInto(pc.call.Args, &pc.writeBuf)
+				pc.n = len(pc.writeBuf.Data)
 			}
 			if err == nil {
 				pc.write = &pc.writeBuf
@@ -500,34 +503,36 @@ func (s *Server) doWrite(p *sim.Proc, id int, k dupKey, pc *parsedCall) {
 		s.locks.Lock(p, ino)
 		var err error
 		if pc.body != nil {
-			err = s.fs.WriteBuf(p, ino, args.Offset, pc.body, len(args.Data), vfs.IOSync)
+			err = s.fs.WriteBuf(p, ino, args.Offset, pc.body, pc.n, vfs.IOSync)
 		} else {
 			err = s.fs.Write(p, ino, args.Offset, args.Data, vfs.IOSync)
 		}
 		s.locks.Unlock(ino)
-		s.writeReply(p, k, args, ino, err == nil, err)
+		s.writeReply(p, k, args, pc.n, ino, err == nil, err)
 		return
 	}
 
 	// Gathering server (§6.8). The reply is detached into the descriptor;
 	// whichever nfsd becomes the metadata writer sends it.
 	s.charge(p, s.cfg.Costs.GatherCheck)
+	n := pc.n
 	d := &core.WriteDesc{
 		Ino:     ino,
 		Offset:  args.Offset,
-		Length:  uint32(len(args.Data)),
+		Length:  uint32(n),
 		Body:    pc.body,
 		Arrived: s.sim.Now(),
 		Send: func(p *sim.Proc, ok bool) {
-			s.writeReply(p, k, args, ino, ok, nil)
+			s.writeReply(p, k, args, n, ino, ok, nil)
 		},
 	}
 	// Errors are reported through Send(ok=false); nothing more to do here.
 	_ = s.engine.HandleWrite(p, id, d, args.Data)
 }
 
-// writeReply builds and sends a WRITE reply, auditing it when configured.
-func (s *Server) writeReply(p *sim.Proc, k dupKey, args *nfsproto.WriteArgs, ino vfs.Ino, ok bool, err error) {
+// writeReply builds and sends the reply to an n-byte WRITE, auditing it
+// when configured.
+func (s *Server) writeReply(p *sim.Proc, k dupKey, args *nfsproto.WriteArgs, n int, ino vfs.Ino, ok bool, err error) {
 	res := s.resAttrStat()
 	if !ok || err != nil {
 		if err == nil {
@@ -545,11 +550,11 @@ func (s *Server) writeReply(p *sim.Proc, k dupKey, args *nfsproto.WriteArgs, ino
 	if res.Status == nfsproto.OK && s.cfg.RecordReplies {
 		s.ReplyLog = append(s.ReplyLog, ReplyRecord{
 			Client: k.client, XID: k.xid, Ino: ino,
-			Offset: args.Offset, Length: uint32(len(args.Data)), When: s.sim.Now(),
+			Offset: args.Offset, Length: uint32(n), When: s.sim.Now(),
 		})
 	}
 	s.reply(p, k, res)
-	s.count(nfsproto.ProcWrite, len(args.Data))
+	s.count(nfsproto.ProcWrite, n)
 }
 
 func (s *Server) doCreate(p *sim.Proc, k dupKey, call *oncrpc.CallMsg, dir bool) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -92,7 +93,7 @@ func TestEndToEndCreateWriteRead(t *testing.T) {
 			return
 		}
 		payload := make([]byte, 8192)
-		client.FillPattern(payload, 0)
+		block.FillPattern(payload, 0)
 		if err := r.cli.WriteSync(p, cres.File, 0, payload); err != nil {
 			t.Errorf("Write: %v", err)
 			return
@@ -136,7 +137,7 @@ func TestEndToEndGatheringWriteRead(t *testing.T) {
 				return
 			}
 			want := make([]byte, 8192)
-			client.FillPattern(want, off)
+			block.FillPattern(want, off)
 			if !bytes.Equal(rres.Data, want) {
 				t.Errorf("content mismatch at %d", off)
 			}
@@ -306,7 +307,7 @@ func TestCrashAuditEveryRepliedWriteDurable(t *testing.T) {
 					return
 				}
 				want := make([]byte, rec.Length)
-				client.FillPattern(want, rec.Offset)
+				block.FillPattern(want, rec.Offset)
 				if !bytes.Equal(got, want) {
 					t.Errorf("cut=%v: replied write @%d corrupt after crash", cut, rec.Offset)
 					return
@@ -354,7 +355,7 @@ func TestCrashAuditWithPresto(t *testing.T) {
 				return
 			}
 			want := make([]byte, rec.Length)
-			client.FillPattern(want, rec.Offset)
+			block.FillPattern(want, rec.Offset)
 			if !bytes.Equal(got, want) {
 				t.Errorf("replied write @%d corrupt", rec.Offset)
 				return

@@ -196,7 +196,7 @@ func (fs *FS) readRaw(p *sim.Proc, in *inode, off uint32, out []byte) (int, erro
 			if err != nil {
 				return read, err
 			}
-			copy(out[read:read+take], b.data[bo:bo+int64(take)])
+			b.blk.CopyOut(out[read:read+take], int(bo))
 		}
 		read += take
 	}
@@ -228,12 +228,15 @@ func (fs *FS) writeRaw(p *sim.Proc, in *inode, off uint32, data []byte) error {
 			b = nb
 		}
 		b.owner, b.fblock = in.num, fb
+		var dst []byte
 		if take == BlockSize {
 			fs.ownFresh(b)
+			dst = b.blk.Overwrite()
 		} else {
 			fs.own(b)
+			dst = b.blk.Data()[bo:]
 		}
-		fs.pool.Acct().CountCopy(copy(b.data[bo:bo+int64(take)], data[written:written+take]))
+		fs.pool.Acct().CountCopy(copy(dst, data[written:written+take]))
 		b.dirty = true
 		if mc {
 			in.dirtyMeta = true

@@ -149,7 +149,7 @@ func (fs *FS) freeInode(p *sim.Proc, in *inode) error {
 				return err
 			}
 			for i := 0; i < PtrsPerBlock; i++ {
-				ptr := int64(binary.BigEndian.Uint64(ib.data[i*8:]))
+				ptr := int64(binary.BigEndian.Uint64(ib.blk.Data()[i*8:]))
 				if ptr == 0 {
 					continue
 				}
@@ -197,7 +197,7 @@ func (fs *FS) flushInodeSlotCleared(p *sim.Proc, ino vfs.Ino) error {
 	}
 	fs.own(b)
 	for i := 0; i < InodeSize; i++ {
-		b.data[slot*InodeSize+i] = 0
+		b.blk.Data()[slot*InodeSize+i] = 0
 	}
 	if err := fs.writeBuf(p, b); err != nil {
 		return err
@@ -254,7 +254,7 @@ func (fs *FS) flushInode(p *sim.Proc, in *inode, metaOnly, force bool) error {
 		if !ok {
 			continue
 		}
-		other.encode(b.data[j*InodeSize : (j+1)*InodeSize])
+		other.encode(b.blk.Data()[j*InodeSize : (j+1)*InodeSize])
 		if other.dirtyCore || other.dirtyMeta {
 			// This write carries the inode's un-landed state; mark it
 			// pending so sync paths wait for the landing rather than
@@ -347,14 +347,14 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 		if err != nil {
 			return 0, metaChanged, err
 		}
-		ptr := int64(binary.BigEndian.Uint64(ib.data[idx*8:]))
+		ptr := int64(binary.BigEndian.Uint64(ib.blk.Data()[idx*8:]))
 		if ptr == 0 {
 			if !alloc {
 				return 0, metaChanged, nil
 			}
 			hint := fs.rotor
 			if idx > 0 {
-				prev := int64(binary.BigEndian.Uint64(ib.data[(idx-1)*8:]))
+				prev := int64(binary.BigEndian.Uint64(ib.blk.Data()[(idx-1)*8:]))
 				if prev != 0 {
 					hint = prev + 1
 				}
@@ -364,7 +364,7 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 				return 0, metaChanged, err
 			}
 			fs.own(ib)
-			binary.BigEndian.PutUint64(ib.data[idx*8:], uint64(b))
+			binary.BigEndian.PutUint64(ib.blk.Data()[idx*8:], uint64(b))
 			ib.dirty = true
 			ptr = b
 			metaChanged = true
@@ -396,7 +396,7 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 		if err != nil {
 			return 0, metaChanged, err
 		}
-		l1ptr := int64(binary.BigEndian.Uint64(db.data[l1*8:]))
+		l1ptr := int64(binary.BigEndian.Uint64(db.blk.Data()[l1*8:]))
 		if l1ptr == 0 {
 			if !alloc {
 				return 0, metaChanged, nil
@@ -406,7 +406,7 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 				return 0, metaChanged, err
 			}
 			fs.own(db)
-			binary.BigEndian.PutUint64(db.data[l1*8:], uint64(b))
+			binary.BigEndian.PutUint64(db.blk.Data()[l1*8:], uint64(b))
 			db.dirty = true
 			in.indBlocks = append(in.indBlocks, b)
 			lb, _ := fs.getBuf(p, b, false)
@@ -418,7 +418,7 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 		if err != nil {
 			return 0, metaChanged, err
 		}
-		ptr := int64(binary.BigEndian.Uint64(lb.data[l2*8:]))
+		ptr := int64(binary.BigEndian.Uint64(lb.blk.Data()[l2*8:]))
 		if ptr == 0 {
 			if !alloc {
 				return 0, metaChanged, nil
@@ -428,7 +428,7 @@ func (fs *FS) bmap(p *sim.Proc, in *inode, fb int64, alloc bool) (phys int64, me
 				return 0, metaChanged, err
 			}
 			fs.own(lb)
-			binary.BigEndian.PutUint64(lb.data[l2*8:], uint64(b))
+			binary.BigEndian.PutUint64(lb.blk.Data()[l2*8:], uint64(b))
 			lb.dirty = true
 			ptr = b
 			metaChanged = true

@@ -51,7 +51,7 @@ func (fs *FS) Read(p *sim.Proc, ino vfs.Ino, off uint32, out []byte) (int, error
 				b = nb
 				b.owner, b.fblock = ino, fb
 			}
-			copy(out[read:read+take], b.data[bo:bo+int64(take)])
+			b.blk.CopyOut(out[read:read+take], int(bo))
 		}
 		read += take
 	}
@@ -139,7 +139,7 @@ func (fs *FS) write(p *sim.Proc, ino vfs.Ino, off uint32, n int, data []byte, bo
 			} else {
 				b = fs.insertBuf(phys, fs.pool.Get())
 			}
-			fs.pool.Acct().CountCopy(copy(b.data, data[written:written+take]))
+			fs.pool.Acct().CountCopy(copy(b.blk.Overwrite(), data[written:written+take]))
 		default:
 			// Partial write: fill from the device only when overwriting an
 			// existing block; a fresh block's remainder must read as zeros.
@@ -151,7 +151,7 @@ func (fs *FS) write(p *sim.Proc, ino vfs.Ino, off uint32, n int, data []byte, bo
 				b = nb
 			}
 			fs.own(b)
-			fs.pool.Acct().CountCopy(copy(b.data[bo:bo+int64(take)], data[written:written+take]))
+			fs.pool.Acct().CountCopy(copy(b.blk.Data()[bo:bo+int64(take)], data[written:written+take]))
 		}
 		b.owner, b.fblock = ino, fb
 		b.dirty = true

@@ -138,16 +138,16 @@ func (fs *FS) putRun(r []*block.Buf) {
 	fs.runScratch = append(fs.runScratch, r[:0])
 }
 
-// buf is a buffer-cache entry for one filesystem block. data always
-// aliases blk.Data(): readers use data directly, while mutators must go
-// through own/ownFresh first — the backing buffer may be shared with the
-// platter store, the NVRAM dirty map or an in-flight datagram, all of
-// which hold point-in-time references that an in-place mutation would
-// corrupt (copy-on-write discipline).
+// buf is a buffer-cache entry for one filesystem block. Readers copy out
+// of blk (blk.CopyOut, which leaves a lazy pattern block lazy), while
+// mutators must go through own/ownFresh first and then write through
+// blk.Data (or blk.Overwrite for a whole block) — the backing buffer may
+// be shared with the platter store, the NVRAM dirty map or an in-flight
+// datagram, all of which hold point-in-time references that an in-place
+// mutation would corrupt (copy-on-write discipline).
 type buf struct {
 	phys  int64
 	blk   *block.Buf
-	data  []byte
 	dirty bool
 	// For data blocks: which file and file-block this caches; inode blocks
 	// and indirect blocks have owner == 0.
@@ -157,16 +157,16 @@ type buf struct {
 
 // own prepares a cache buffer for partial in-place mutation: if the
 // backing buffer is shared, it is replaced by a fresh copy (the one copy a
-// partial rewrite of committed contents must pay).
+// partial rewrite of committed contents must pay). A shared lazy block is
+// generated into the copy and itself stays lazy.
 func (fs *FS) own(b *buf) {
 	if b.blk.Unique() {
 		return
 	}
 	nb := fs.pool.Get()
-	fs.pool.Acct().CountCopy(copy(nb.Data(), b.blk.Data()))
+	fs.pool.Acct().CountCopy(b.blk.CopyOut(nb.Data(), 0))
 	b.blk.Release()
 	b.blk = nb
-	b.data = nb.Data()
 }
 
 // ownFresh prepares a cache buffer for whole-block overwrite: a shared
@@ -178,7 +178,6 @@ func (fs *FS) ownFresh(b *buf) {
 	}
 	b.blk.Release()
 	b.blk = fs.pool.Get()
-	b.data = b.blk.Data()
 }
 
 // adopt points the cache entry at nb (taking a reference), discarding the
@@ -187,7 +186,6 @@ func (fs *FS) ownFresh(b *buf) {
 func (b *buf) adopt(nb *block.Buf) {
 	b.blk.Release()
 	b.blk = nb.Ref()
-	b.data = b.blk.Data()
 }
 
 // Format writes a fresh filesystem onto dev and returns it mounted.
@@ -467,13 +465,13 @@ func (fs *FS) getBuf(p *sim.Proc, phys int64, fill bool) (*buf, error) {
 // be referenced by a flusher that captured it before a yield, and reusing
 // it would alias two blocks through one pointer.
 func (fs *FS) insertBuf(phys int64, blk *block.Buf) *buf {
-	b := &buf{phys: phys, blk: blk, data: blk.Data()}
+	b := &buf{phys: phys, blk: blk}
 	fs.cache[phys] = b
 	return b
 }
 
 // evict removes a block from the cache, releasing the cache's reference
-// to its backing buffer. The record is tombstoned (blk/data nil), never
+// to its backing buffer. The record is tombstoned (blk nil), never
 // recycled: a flusher that captured it before yielding on device I/O may
 // still hold the pointer, and sees the tombstone instead of an aliased
 // reuse. Evicting an uncached block is a no-op.
@@ -484,7 +482,7 @@ func (fs *FS) evict(phys int64) {
 	}
 	delete(fs.cache, phys)
 	b.blk.Release()
-	b.blk, b.data = nil, nil
+	b.blk = nil
 }
 
 // writeBuf pushes one cache buffer to the device synchronously (zero-copy:
@@ -525,7 +523,7 @@ func (fs *FS) CachedBufs() int { return len(fs.cache) }
 func (fs *FS) DropCaches() {
 	for _, b := range fs.cache {
 		b.blk.Release()
-		b.blk, b.data = nil, nil
+		b.blk = nil
 	}
 	fs.cache = make(map[int64]*buf)
 	fs.inodes = make(map[vfs.Ino]*inode)

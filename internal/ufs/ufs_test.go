@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/block"
 	"repro/internal/disk"
 	"repro/internal/hw"
 	"repro/internal/sim"
@@ -149,6 +150,59 @@ func TestPartialBlockWrite(t *testing.T) {
 			t.Error("partial overwrite damaged surrounding bytes")
 		}
 	})
+}
+
+// TestLazyBlockStaysLazyUntilMutated: a lazy pattern block written by
+// reference lands in the cache and on the platters without being
+// materialized, and a read copies its bytes out without materializing it.
+// A partial overwrite then pays exactly one counted copy-on-write copy
+// into a private buffer: the shared source keeps its lazy form, and the
+// sync write replaces the platter's reference with the private copy.
+func TestLazyBlockStaysLazyUntilMutated(t *testing.T) {
+	s, fs, d := rig(t, 1)
+	lazy := block.NewPool().GetPattern(block.Size)
+	defer lazy.Release()
+	want := make([]byte, block.Size)
+	block.FillPattern(want, block.Size)
+	run(s, func(p *sim.Proc) {
+		ino, _ := fs.Create(p, fs.Root(), "lazy", 0644)
+		if err := fs.WriteBuf(p, ino, block.Size, lazy, block.Size, vfs.IOSync); err != nil {
+			t.Errorf("WriteBuf: %v", err)
+			return
+		}
+		got := make([]byte, 301)
+		if n, err := fs.Read(p, ino, block.Size+100, got); err != nil || n != len(got) {
+			t.Errorf("Read = %d, %v", n, err)
+			return
+		}
+		if !bytes.Equal(got, want[100:401]) || !lazy.Lazy() {
+			t.Errorf("read of a lazy block: match=%v lazy=%v", bytes.Equal(got, want[100:401]), lazy.Lazy())
+			return
+		}
+		copies0 := block.Copies()
+		if err := fs.Write(p, ino, block.Size+50, []byte("xyz"), vfs.IOSync); err != nil {
+			t.Errorf("partial Write: %v", err)
+			return
+		}
+		if c := block.Copies() - copies0; c != block.Size+3 {
+			t.Errorf("partial overwrite copied %d bytes, want %d (one COW block + the write)", c, block.Size+3)
+		}
+		full := make([]byte, block.Size)
+		fs.Read(p, ino, block.Size, full)
+		if string(full[50:53]) != "xyz" || !bytes.Equal(full[:50], want[:50]) || !bytes.Equal(full[53:], want[53:]) {
+			t.Error("partial overwrite of a lazy block damaged its surroundings")
+		}
+	})
+	if !lazy.Lazy() {
+		t.Fatal("the shared lazy buffer was materialized by a mutation")
+	}
+	found := false
+	for blk := int64(0); blk < d.NumBlocks() && !found; blk++ {
+		found = d.Stored(blk) == lazy
+	}
+	if found {
+		t.Fatal("the platter still holds the pre-overwrite buffer after a sync write")
+	}
 }
 
 func TestDelayDataDoesNoDeviceIO(t *testing.T) {

@@ -261,8 +261,7 @@ func (l *LADDIS) Setup(p *sim.Proc) error {
 			// One staging buffer per request, released on completion: the
 			// pool cannot recycle it while any queued duplicate datagram
 			// still references the payload.
-			buf := l.cli.GetWriteBuf()
-			client.FillPattern(buf.Data(), uint32(b*nfsproto.MaxData))
+			buf := l.cli.PatternBuf(uint32(b*nfsproto.MaxData), nfsproto.MaxData)
 			if err := l.cli.WriteSyncBufRelease(p, fh, uint32(b*nfsproto.MaxData), buf, nfsproto.MaxData); err != nil {
 				return fmt.Errorf("workload: fill %s: %w", name, err)
 			}
@@ -313,8 +312,7 @@ func (l *LADDIS) writeWorker(w *sim.Proc) {
 		if task.burst == nil {
 			return
 		}
-		buf := l.cli.GetWriteBuf()
-		client.FillPattern(buf.Data(), task.off)
+		buf := l.cli.PatternBuf(task.off, nfsproto.MaxData)
 		wbegin := w.Now()
 		if werr := l.cli.WriteSyncBufRelease(w, task.fh, task.off, buf, nfsproto.MaxData); werr != nil {
 			l.errors++
